@@ -242,11 +242,13 @@ impl Json {
     ///
     /// Accepts the full JSON grammar; integral numbers without
     /// fraction/exponent that fit `i64` become [`Json::Int`], everything
-    /// else numeric becomes [`Json::Float`].
+    /// else numeric becomes [`Json::Float`]. Arrays and objects nested
+    /// deeper than 128 levels are rejected, so hostile input cannot
+    /// exhaust the parsing thread's stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -254,6 +256,11 @@ impl Json {
         Ok(value)
     }
 }
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Run manifests
+/// nest about 7 levels; at this limit the recursive parser uses well under
+/// a 2 MiB thread stack.
+const MAX_DEPTH: usize = 128;
 
 fn indent(out: &mut String, depth: usize) {
     for _ in 0..depth {
@@ -299,12 +306,19 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value whose enclosing containers number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -322,7 +336,7 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Js
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -335,7 +349,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -349,7 +363,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -358,7 +372,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -408,12 +422,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is
-                // always on a boundary).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of plain bytes up to the next quote or
+                // escape. Both are ASCII, so the run ends on a UTF-8
+                // boundary of the input `&str`.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+                out.push_str(run);
             }
         }
     }
@@ -538,6 +555,42 @@ mod tests {
     fn rejects_malformed_input() {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let long = "x".repeat(4 << 20) + "\u{e9}\\\"";
+        let text = Json::str(long.as_str()).render();
+        let start = std::time::Instant::now();
+        let back = Json::parse(&text).unwrap();
+        let took = start.elapsed();
+        assert_eq!(back.as_str(), Some(long.as_str()));
+        assert!(took.as_secs() < 5, "4 MiB string took {took:?}");
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        // 2 MiB: the stack size of the experiment service's connection
+        // threads, which parse request bodies.
+        let results = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                (
+                    Json::parse(&nested(MAX_DEPTH)).is_ok(),
+                    Json::parse(&nested(MAX_DEPTH + 1)),
+                    Json::parse(&"[".repeat(500_000)),
+                    Json::parse(&"{\"a\":".repeat(500_000)),
+                )
+            })
+            .unwrap()
+            .join()
+            .expect("parser thread panicked");
+        assert!(results.0, "{MAX_DEPTH} levels parse");
+        for err in [results.1, results.2, results.3] {
+            let err = err.unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
         }
     }
 

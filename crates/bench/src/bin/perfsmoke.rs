@@ -60,8 +60,9 @@ use pfsim_prefetch::Scheme;
 use pfsim_workloads::App;
 
 /// The packed encoding's budget from the trace-subsystem design: a
-/// narrow read is 9 bytes, so the app mix must stay under 10.
-const BYTES_PER_OP_BUDGET: f64 = 10.0;
+/// narrow read is 5 bytes and a short compute 1, so the app mix must stay
+/// at or under 5.
+const BYTES_PER_OP_BUDGET: f64 = 5.0;
 
 /// Warmup boundary for the `--checkpoint` benchmark: deep enough to
 /// matter on the apps that dominate the large grid's wall-clock (LU ~20M,

@@ -5,11 +5,24 @@
 //! [`Vec<Op>`](crate::Op) honors that but costs 16 bytes per operation and
 //! one private copy per run. [`PackedTrace`] encodes each processor's
 //! stream as two parallel arrays — a 1-byte opcode stream and a
-//! fixed-width `u32` payload stream — so a shared-read amounts to 9 bytes
-//! and a whole six-application trace set fits comfortably under 10
-//! amortized bytes per operation. The trace is immutable after
-//! construction; N concurrent runs each hold a [`TraceCursor`] over one
-//! `Arc<PackedTrace>` and decode independently with zero copies.
+//! fixed-width `u32` payload stream — plus a small per-lane PC table. The
+//! trace is immutable after construction; N concurrent runs each hold a
+//! [`TraceCursor`] over one `Arc<PackedTrace>` and decode independently
+//! with zero copies.
+//!
+//! An opcode byte's low nibble is the op kind and its high nibble a small
+//! immediate:
+//!
+//! * reads and writes: an index into the lane's PC table. A modelled
+//!   program has only a handful of static load/store sites (6–16 per
+//!   SPLASH app), so the first 15 distinct PCs of a lane get table slots;
+//!   the immediate 15 is an escape that keeps the PC in the payload, so
+//!   any PC stays representable.
+//! * computes: the cycle count when it is 1–15; 0 means the count is a
+//!   payload word.
+//!
+//! A shared read therefore costs 5 bytes and a short compute 1 byte;
+//! the six SPLASH apps pack at 4–5 amortized bytes per operation.
 //!
 //! Addresses are stored as one `u32` word when they fit (every generator's
 //! allocations start at page 1 and stay far below 4 GiB) with a
@@ -22,8 +35,9 @@ use pfsim_mem::{Addr, Pc};
 
 use crate::{Op, TraceWorkload, Workload};
 
-/// Opcode bytes of the packed encoding. The `_WIDE` variants carry an
-/// extra high `u32` for addresses that do not fit in one payload word.
+/// Opcode kinds (the low nibble of an opcode byte). The `_WIDE` variants
+/// carry an extra high `u32` for addresses that do not fit in one payload
+/// word.
 mod opcode {
     pub const READ: u8 = 0;
     pub const READ_WIDE: u8 = 1;
@@ -35,13 +49,27 @@ mod opcode {
     pub const RELEASE: u8 = 7;
     pub const RELEASE_WIDE: u8 = 8;
     pub const BARRIER: u8 = 9;
+
+    /// Selects the kind; the immediate is the byte shifted right by 4.
+    pub const KIND: u8 = 0x0f;
+    /// PC immediate meaning "the PC is the op's last payload word"; also
+    /// the PC table's capacity.
+    pub const PC_ESCAPE: u8 = 15;
+    /// Largest compute cycle count carried in the immediate.
+    pub const MAX_IMM_CYCLES: u32 = 15;
 }
 
 /// One processor's packed streams.
+///
+/// `opcodes` holds one byte per op (kind | immediate << 4), `payload` the
+/// ops' `u32` words in op order, and `pcs` the lane's first
+/// [`PC_ESCAPE`](opcode::PC_ESCAPE) distinct read/write PCs, indexed by
+/// the reads' and writes' immediates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct PackedLane {
-    pub(crate) opcodes: Vec<u8>,
-    pub(crate) payload: Vec<u32>,
+    opcodes: Vec<u8>,
+    payload: Vec<u32>,
+    pcs: Vec<Pc>,
 }
 
 impl PackedLane {
@@ -58,13 +86,16 @@ impl PackedLane {
                 if cycles == 0 {
                     return;
                 }
-                if self.opcodes.last() == Some(&opcode::COMPUTE) {
-                    let prev = self.payload.last_mut().expect("compute has payload");
-                    *prev = prev.saturating_add(cycles);
-                    return;
+                let cycles = match self.pop_compute() {
+                    Some(prev) => prev.saturating_add(cycles),
+                    None => cycles,
+                };
+                if cycles <= opcode::MAX_IMM_CYCLES {
+                    self.opcodes.push(opcode::COMPUTE | (cycles as u8) << 4);
+                } else {
+                    self.opcodes.push(opcode::COMPUTE);
+                    self.payload.push(cycles);
                 }
-                self.opcodes.push(opcode::COMPUTE);
-                self.payload.push(cycles);
             }
             Op::Acquire { lock } => self.push_mem(opcode::ACQUIRE, lock, None),
             Op::Release { lock } => self.push_mem(opcode::RELEASE, lock, None),
@@ -75,121 +106,171 @@ impl PackedLane {
         }
     }
 
+    /// Removes a trailing compute op and returns its cycle count.
+    fn pop_compute(&mut self) -> Option<u32> {
+        let &last = self.opcodes.last()?;
+        if last & opcode::KIND != opcode::COMPUTE {
+            return None;
+        }
+        self.opcodes.pop();
+        Some(match last >> 4 {
+            0 => self.payload.pop().expect("payload compute has its count"),
+            imm => u32::from(imm),
+        })
+    }
+
+    /// The immediate naming `pc`: its table slot, claiming a free one if
+    /// needed, or the escape once the table is full.
+    fn pc_index(&mut self, pc: Pc) -> u8 {
+        if let Some(i) = self.pcs.iter().position(|&p| p == pc) {
+            return i as u8;
+        }
+        if self.pcs.len() < usize::from(opcode::PC_ESCAPE) {
+            self.pcs.push(pc);
+            return (self.pcs.len() - 1) as u8;
+        }
+        opcode::PC_ESCAPE
+    }
+
     /// Emits an address-carrying op. `base` must be a narrow opcode whose
-    /// wide escape is `base + 1`.
+    /// wide escape is `base + 1`; `pc` is `Some` for reads and writes.
     fn push_mem(&mut self, base: u8, addr: Addr, pc: Option<Pc>) {
+        let imm = pc.map_or(0, |pc| self.pc_index(pc));
         let raw = addr.as_u64();
         let lo = raw as u32;
         let hi = (raw >> 32) as u32;
         if hi == 0 {
-            self.opcodes.push(base);
+            self.opcodes.push(base | imm << 4);
             self.payload.push(lo);
         } else {
-            self.opcodes.push(base + 1);
+            self.opcodes.push((base + 1) | imm << 4);
             self.payload.push(lo);
             self.payload.push(hi);
         }
-        if let Some(pc) = pc {
+        if let (Some(pc), opcode::PC_ESCAPE) = (pc, imm) {
             self.payload.push(pc.as_u32());
         }
     }
 
     fn packed_bytes(&self) -> usize {
-        self.opcodes.len() + 4 * self.payload.len()
+        self.opcodes.len() + 4 * self.payload.len() + 4 * self.pcs.len()
     }
-}
 
-/// Decodes the op at `op_idx`/`payload_idx`; returns it plus the payload
-/// index of the following op. Callers guarantee `op_idx` is in bounds.
-#[inline]
-fn decode(opcodes: &[u8], payload: &[u32], op_idx: usize, payload_idx: usize) -> (Op, usize) {
-    /// The op's payload words as a fixed-size array: one range check per
-    /// decoded op (the `try_into` length test folds away).
+    /// Decodes the op at `op_idx`/`payload_idx`; returns it plus the
+    /// payload index of the following op. Callers guarantee `op_idx` is in
+    /// bounds.
     #[inline]
-    fn words<const N: usize>(payload: &[u32], at: usize) -> [u32; N] {
-        payload[at..at + N].try_into().expect("sized by the range")
-    }
-    let wide = |lo: u32, hi: u32| Addr::new(lo as u64 | (hi as u64) << 32);
-    match opcodes[op_idx] {
-        opcode::READ => {
-            let [lo, pc] = words(payload, payload_idx);
-            (
-                Op::Read {
-                    addr: Addr::new(lo as u64),
-                    pc: Pc::new(pc),
+    fn decode(&self, op_idx: usize, payload_idx: usize) -> (Op, usize) {
+        /// The op's payload words as a fixed-size array: one range check
+        /// per decoded op (the `try_into` length test folds away).
+        #[inline]
+        fn words<const N: usize>(payload: &[u32], at: usize) -> [u32; N] {
+            payload[at..at + N].try_into().expect("sized by the range")
+        }
+        let payload = &self.payload[..];
+        let wide = |lo: u32, hi: u32| Addr::new(lo as u64 | (hi as u64) << 32);
+        let byte = self.opcodes[op_idx];
+        let imm = byte >> 4;
+        // A read's or write's PC, from the table or (escape) the payload
+        // word at `at`, plus the payload index after it. The table never
+        // holds more than 15 PCs, so the escape is exactly the immediate
+        // that falls outside it.
+        let lane_pc = |at: usize| match self.pcs.get(usize::from(imm)) {
+            Some(&pc) => (pc, at),
+            None => (Pc::new(payload[at]), at + 1),
+        };
+        match byte & opcode::KIND {
+            opcode::READ => {
+                let [lo] = words(payload, payload_idx);
+                let (pc, next) = lane_pc(payload_idx + 1);
+                (
+                    Op::Read {
+                        addr: Addr::new(lo as u64),
+                        pc,
+                    },
+                    next,
+                )
+            }
+            opcode::READ_WIDE => {
+                let [lo, hi] = words(payload, payload_idx);
+                let (pc, next) = lane_pc(payload_idx + 2);
+                (
+                    Op::Read {
+                        addr: wide(lo, hi),
+                        pc,
+                    },
+                    next,
+                )
+            }
+            opcode::WRITE => {
+                let [lo] = words(payload, payload_idx);
+                let (pc, next) = lane_pc(payload_idx + 1);
+                (
+                    Op::Write {
+                        addr: Addr::new(lo as u64),
+                        pc,
+                    },
+                    next,
+                )
+            }
+            opcode::WRITE_WIDE => {
+                let [lo, hi] = words(payload, payload_idx);
+                let (pc, next) = lane_pc(payload_idx + 2);
+                (
+                    Op::Write {
+                        addr: wide(lo, hi),
+                        pc,
+                    },
+                    next,
+                )
+            }
+            opcode::COMPUTE if imm == 0 => {
+                let [cycles] = words(payload, payload_idx);
+                (Op::Compute { cycles }, payload_idx + 1)
+            }
+            opcode::COMPUTE => (
+                Op::Compute {
+                    cycles: u32::from(imm),
                 },
-                payload_idx + 2,
-            )
+                payload_idx,
+            ),
+            opcode::ACQUIRE => {
+                let [lo] = words(payload, payload_idx);
+                (
+                    Op::Acquire {
+                        lock: Addr::new(lo as u64),
+                    },
+                    payload_idx + 1,
+                )
+            }
+            opcode::ACQUIRE_WIDE => {
+                let [lo, hi] = words(payload, payload_idx);
+                (Op::Acquire { lock: wide(lo, hi) }, payload_idx + 2)
+            }
+            opcode::RELEASE => {
+                let [lo] = words(payload, payload_idx);
+                (
+                    Op::Release {
+                        lock: Addr::new(lo as u64),
+                    },
+                    payload_idx + 1,
+                )
+            }
+            opcode::RELEASE_WIDE => {
+                let [lo, hi] = words(payload, payload_idx);
+                (Op::Release { lock: wide(lo, hi) }, payload_idx + 2)
+            }
+            opcode::BARRIER => {
+                let [id] = words(payload, payload_idx);
+                (Op::Barrier { id }, payload_idx + 1)
+            }
+            other => unreachable!("corrupt packed trace: opcode {other}"),
         }
-        opcode::READ_WIDE => {
-            let [lo, hi, pc] = words(payload, payload_idx);
-            (
-                Op::Read {
-                    addr: wide(lo, hi),
-                    pc: Pc::new(pc),
-                },
-                payload_idx + 3,
-            )
-        }
-        opcode::WRITE => {
-            let [lo, pc] = words(payload, payload_idx);
-            (
-                Op::Write {
-                    addr: Addr::new(lo as u64),
-                    pc: Pc::new(pc),
-                },
-                payload_idx + 2,
-            )
-        }
-        opcode::WRITE_WIDE => {
-            let [lo, hi, pc] = words(payload, payload_idx);
-            (
-                Op::Write {
-                    addr: wide(lo, hi),
-                    pc: Pc::new(pc),
-                },
-                payload_idx + 3,
-            )
-        }
-        opcode::COMPUTE => {
-            let [cycles] = words(payload, payload_idx);
-            (Op::Compute { cycles }, payload_idx + 1)
-        }
-        opcode::ACQUIRE => {
-            let [lo] = words(payload, payload_idx);
-            (
-                Op::Acquire {
-                    lock: Addr::new(lo as u64),
-                },
-                payload_idx + 1,
-            )
-        }
-        opcode::ACQUIRE_WIDE => {
-            let [lo, hi] = words(payload, payload_idx);
-            (Op::Acquire { lock: wide(lo, hi) }, payload_idx + 2)
-        }
-        opcode::RELEASE => {
-            let [lo] = words(payload, payload_idx);
-            (
-                Op::Release {
-                    lock: Addr::new(lo as u64),
-                },
-                payload_idx + 1,
-            )
-        }
-        opcode::RELEASE_WIDE => {
-            let [lo, hi] = words(payload, payload_idx);
-            (Op::Release { lock: wide(lo, hi) }, payload_idx + 2)
-        }
-        opcode::BARRIER => {
-            let [id] = words(payload, payload_idx);
-            (Op::Barrier { id }, payload_idx + 1)
-        }
-        other => unreachable!("corrupt packed trace: opcode {other}"),
     }
 }
 
-/// An immutable packed trace: per-CPU opcode + payload streams.
+/// An immutable packed trace: per-CPU opcode and payload streams plus PC
+/// tables.
 ///
 /// Built by [`TraceBuilder::finish_packed`](crate::TraceBuilder::finish_packed)
 /// and shared across runs behind an [`Arc`]. Decode back to [`Op`]s with
@@ -244,7 +325,8 @@ impl PackedTrace {
         self.lanes.iter().map(|l| l.opcodes.len()).sum()
     }
 
-    /// Resident bytes of the packed streams (opcodes + payload words).
+    /// Resident bytes of the packed streams (opcodes, payload words and
+    /// PC tables).
     pub fn packed_bytes(&self) -> usize {
         self.lanes.iter().map(PackedLane::packed_bytes).sum()
     }
@@ -265,10 +347,8 @@ impl PackedTrace {
     /// ops straight out of the packed arrays without materializing a
     /// `Vec<Op>`.
     pub fn iter_cpu(&self, cpu: usize) -> OpIter<'_> {
-        let lane = &self.lanes[cpu];
         OpIter {
-            opcodes: &lane.opcodes,
-            payload: &lane.payload,
+            lane: &self.lanes[cpu],
             op_idx: 0,
             payload_idx: 0,
         }
@@ -289,8 +369,7 @@ impl PackedTrace {
 /// Borrowed iterator decoding one processor's packed stream into [`Op`]s.
 #[derive(Debug, Clone)]
 pub struct OpIter<'a> {
-    opcodes: &'a [u8],
-    payload: &'a [u32],
+    lane: &'a PackedLane,
     op_idx: usize,
     payload_idx: usize,
 }
@@ -300,17 +379,17 @@ impl Iterator for OpIter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<Op> {
-        if self.op_idx >= self.opcodes.len() {
+        if self.op_idx >= self.lane.opcodes.len() {
             return None;
         }
-        let (op, next_payload) = decode(self.opcodes, self.payload, self.op_idx, self.payload_idx);
+        let (op, next_payload) = self.lane.decode(self.op_idx, self.payload_idx);
         self.op_idx += 1;
         self.payload_idx = next_payload;
         Some(op)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.opcodes.len() - self.op_idx;
+        let left = self.lane.opcodes.len() - self.op_idx;
         (left, Some(left))
     }
 }
@@ -366,7 +445,7 @@ impl Workload for TraceCursor {
         if op_idx >= lane.opcodes.len() {
             return None;
         }
-        let (op, next_payload) = decode(&lane.opcodes, &lane.payload, op_idx, payload_idx);
+        let (op, next_payload) = lane.decode(op_idx, payload_idx);
         self.cursors[cpu] = (op_idx + 1, next_payload);
         Some(op)
     }
@@ -466,26 +545,90 @@ mod tests {
 
     #[test]
     fn compute_coalescing_saturates() {
-        let mut lane = PackedLane::default();
-        lane.push(Op::Compute {
-            cycles: u32::MAX - 1,
-        });
-        lane.push(Op::Compute { cycles: 10 });
-        let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
-        let decoded: Vec<Op> = trace.iter_cpu(0).collect();
-        assert_eq!(decoded, vec![Op::Compute { cycles: u32::MAX }]);
+        // From a payload count and from an immediate one.
+        for first in [u32::MAX - 1, 10] {
+            let mut lane = PackedLane::default();
+            lane.push(Op::Compute { cycles: first });
+            lane.push(Op::Compute { cycles: u32::MAX });
+            let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
+            let decoded: Vec<Op> = trace.iter_cpu(0).collect();
+            assert_eq!(decoded, vec![Op::Compute { cycles: u32::MAX }]);
+            assert_eq!(trace.packed_bytes(), 5, "saturated count is a payload word");
+        }
+    }
+
+    /// Packs `ops` into one lane and checks they decode back unchanged;
+    /// returns the lane's packed bytes.
+    fn packed_bytes_of(ops: &[Op]) -> usize {
+        let trace = pack(ops);
+        assert_eq!(trace.iter_cpu(0).collect::<Vec<Op>>(), ops);
+        trace.packed_bytes()
     }
 
     #[test]
-    fn narrow_read_costs_nine_bytes() {
+    fn compute_counts_up_to_fifteen_ride_in_the_opcode() {
+        assert_eq!(packed_bytes_of(&[Op::Compute { cycles: 1 }]), 1);
+        assert_eq!(packed_bytes_of(&[Op::Compute { cycles: 15 }]), 1);
+        assert_eq!(packed_bytes_of(&[Op::Compute { cycles: 16 }]), 5);
+    }
+
+    #[test]
+    fn coalescing_re_encodes_across_the_immediate_limit() {
         let mut lane = PackedLane::default();
-        lane.push(Op::Read {
+        lane.push(Op::Compute { cycles: 10 });
+        assert_eq!(lane.packed_bytes(), 1);
+        lane.push(Op::Compute { cycles: 5 });
+        assert_eq!(lane.packed_bytes(), 1, "15 still fits the immediate");
+        lane.push(Op::Compute { cycles: 5 });
+        assert_eq!(lane.packed_bytes(), 5, "20 moves to the payload");
+        lane.push(Op::Compute { cycles: 3 });
+        assert_eq!(lane.packed_bytes(), 5, "a payload count stays in place");
+        let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
+        let decoded: Vec<Op> = trace.iter_cpu(0).collect();
+        assert_eq!(decoded, vec![Op::Compute { cycles: 23 }]);
+
+        let mut lane = PackedLane::default();
+        lane.push(Op::Compute { cycles: 10 });
+        lane.push(Op::Compute { cycles: 10 });
+        let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
+        let decoded: Vec<Op> = trace.iter_cpu(0).collect();
+        assert_eq!(decoded, vec![Op::Compute { cycles: 20 }]);
+        assert_eq!(trace.packed_bytes(), 5);
+    }
+
+    #[test]
+    fn narrow_read_costs_five_bytes_plus_its_table_slot() {
+        let read = Op::Read {
             addr: Addr::new(0x1000),
             pc: Pc::new(0x40),
+        };
+        // 1 opcode + 1 address word, plus the PC's one-word table slot.
+        assert_eq!(packed_bytes_of(&[read]), 9);
+        // A second read from the same site reuses the slot.
+        assert_eq!(packed_bytes_of(&[read, read]), 14);
+        assert_eq!(pack(&[read, read]).bytes_per_op(), 7.0);
+    }
+
+    #[test]
+    fn sixteenth_distinct_pc_takes_the_escape() {
+        let read = |i: u32| Op::Read {
+            addr: Addr::new(0x1000),
+            pc: Pc::new(0x400 + 4 * i),
+        };
+        // 15 distinct PCs: each read is 5 bytes, each PC a table slot.
+        let fifteen: Vec<Op> = (0..15).map(read).collect();
+        assert_eq!(packed_bytes_of(&fifteen), 15 * 5 + 15 * 4);
+        // The 16th finds the table full and keeps its PC in the payload,
+        // on a narrow and a wide write alike; table PCs still resolve.
+        let mut sixteen = fifteen.clone();
+        sixteen.push(read(15));
+        assert_eq!(packed_bytes_of(&sixteen), 15 * 5 + 15 * 4 + 9);
+        sixteen.push(Op::Write {
+            addr: Addr::new(0x1_0000_0000),
+            pc: Pc::new(0x400 + 4 * 15),
         });
-        let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
-        assert_eq!(trace.packed_bytes(), 9);
-        assert_eq!(trace.bytes_per_op(), 9.0);
+        sixteen.push(read(3));
+        assert_eq!(packed_bytes_of(&sixteen), 15 * 5 + 15 * 4 + 9 + 13 + 5);
     }
 
     #[test]

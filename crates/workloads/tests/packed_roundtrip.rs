@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use pfsim_mem::{Addr, Pc, SplitMix64};
-use pfsim_workloads::{Op, TraceBuilder, TraceCursor, Workload};
+use pfsim_workloads::{App, Op, TraceBuilder, TraceCursor, Workload};
 
 /// Mirrors `PackedLane::push`: the reference model every decoded lane is
 /// compared against.
@@ -161,9 +161,10 @@ fn wide_addresses_take_the_escape_and_survive() {
             Op::Release { lock: wide },
         ]
     );
-    // Wide ops cost one extra payload word each: 4 opcodes + (3+3+2+2)
-    // payload words = 44 bytes.
-    assert_eq!(trace.packed_bytes(), 44);
+    // Wide ops cost one extra payload word each, and the shared PC one
+    // table slot: 4 opcodes + (2+2+2+2) payload words + 1 PC word = 40
+    // bytes.
+    assert_eq!(trace.packed_bytes(), 40);
 }
 
 /// Directed check of compute coalescing: zero-cycle computes vanish and
@@ -190,4 +191,16 @@ fn compute_coalescing_is_exact() {
             Op::Compute { cycles: u32::MAX },
         ]
     );
+}
+
+/// The six SPLASH apps at default size pack at no more than 5 bytes per
+/// operation: their few load/store sites fit each lane's PC table and
+/// their short computes ride in the opcode byte.
+#[test]
+fn splash_apps_pack_at_five_bytes_per_op_or_less() {
+    for app in App::ALL {
+        let trace = app.build_default_packed();
+        let bpo = trace.bytes_per_op();
+        assert!(bpo <= 5.0, "{app} packs at {bpo:.2} bytes/op");
+    }
 }
