@@ -5,8 +5,9 @@
 //! [`ExperimentSpec`] runner and reports, separately:
 //!
 //! * **trace generation time** — each application's packed trace is
-//!   generated exactly once (the per-process trace cache) and shared by
-//!   all four of its runs;
+//!   generated exactly once (the per-process trace cache), its processor
+//!   lanes split over the host's cores, and shared by all four of its
+//!   runs;
 //! * **simulation time** — the 24 replay runs through `TraceCursor`s;
 //! * **resident bytes per trace operation** of the packed encoding.
 //!
@@ -57,7 +58,7 @@ use pfsim_bench::ledger::{update_ledger, Ledger, MissingSeedNotice, SeedCheck};
 use pfsim_bench::spec::wire::WireSpec;
 use pfsim_bench::{validate_manifest, ExperimentRun, ExperimentSpec, Size};
 use pfsim_prefetch::Scheme;
-use pfsim_workloads::App;
+use pfsim_workloads::{generation_threads, App};
 
 /// The packed encoding's budget from the trace-subsystem design: a
 /// narrow read is 5 bytes and a short compute 1, so the app mix must stay
@@ -130,8 +131,17 @@ fn main() {
     let total_bytes: u64 = run.traces.iter().map(|t| t.packed_bytes).sum();
     let bytes_per_op = total_bytes as f64 / total_ops as f64;
 
+    // Generation time depends on the thread count, so print it with the
+    // host's core count.
+    let gen_threads = run
+        .traces
+        .iter()
+        .map(|t| generation_threads(usize::from(t.cpus)))
+        .max()
+        .unwrap_or(1);
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     println!(
-        "trace generation: {total_ops} ops in {gen_seconds:.3}s, packed {:.1} KB = {bytes_per_op:.2} bytes/op",
+        "trace generation: {total_ops} ops in {gen_seconds:.3}s on {gen_threads} threads (nproc {nproc}), packed {:.1} KB = {bytes_per_op:.2} bytes/op",
         total_bytes as f64 / 1024.0
     );
     for t in &run.traces {

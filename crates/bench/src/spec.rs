@@ -262,9 +262,10 @@ impl Runner {
     }
 
     /// Executes `spec`: the generation phase materializes every distinct
-    /// `(app, size)` trace (in parallel unless the spec is
-    /// [`serial`](ExperimentSpec::serial)), then the simulation phase
-    /// runs the full grid app-major. Wall-clock is accounted per phase
+    /// `(app, size, cpus)` trace one after another, each split by
+    /// processor lane over the host's cores, then the simulation phase
+    /// runs the full grid app-major (in parallel unless the spec is
+    /// [`serial`](ExperimentSpec::serial)). Wall-clock is accounted per phase
     /// and per cell.
     pub fn execute(&self, spec: ExperimentSpec) -> ExperimentRun {
         let gen_start = Instant::now();
@@ -280,13 +281,13 @@ impl Runner {
                 bytes_per_op: t.bytes_per_op(),
             }
         };
-        let traces = if spec.parallel && keys.len() > 1 {
-            par_map(keys, |(app, size, cpus)| describe(app, size, cpus))
-        } else {
-            keys.into_iter()
-                .map(|(a, s, c)| describe(a, s, c))
-                .collect()
-        };
+        // One trace at a time: each generation already spreads its
+        // processor lanes over the host's cores, so fanning apps out too
+        // would only oversubscribe them.
+        let traces = keys
+            .into_iter()
+            .map(|(a, s, c)| describe(a, s, c))
+            .collect();
         let gen_seconds = gen_start.elapsed().as_secs_f64();
 
         let sim_start = Instant::now();

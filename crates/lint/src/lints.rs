@@ -76,7 +76,7 @@ pub const LINTS: &[Lint] = &[
     },
     Lint {
         id: "T001",
-        summary: "threads and sync primitives only in approved concurrency modules (bench/parallel, bench/lib, core/shard, serve/src)",
+        summary: "threads and sync primitives only in approved concurrency modules (bench/parallel, bench/lib, core/shard, workloads/builder, serve/src)",
     },
     Lint {
         id: "U001",
@@ -335,13 +335,15 @@ fn k001_clock_writes(f: &File, out: &mut Vec<Finding>) {
 
 /// The only non-test modules allowed to spawn threads or hold sync
 /// primitives: the grid-level fan-out harness, the trace cache it shares,
-/// and the sharded event kernel's leader/worker handshake. Everything
-/// else must stay single-threaded so determinism arguments stay local to
-/// these files.
+/// the sharded event kernel's leader/worker handshake, and the
+/// lane-sharded trace-generation driver (each shard runs a pure generator
+/// and the gather checks the shards agree). Everything else must stay
+/// single-threaded so determinism arguments stay local to these files.
 const CONCURRENCY_MODULES: &[&str] = &[
     "crates/bench/src/parallel.rs",
     "crates/bench/src/lib.rs",
     "crates/core/src/shard.rs",
+    "crates/workloads/src/builder.rs",
 ];
 
 /// Directory prefixes whose non-test sources are concurrent by design.

@@ -13,6 +13,7 @@
 
 use pfsim_mem::SplitMix64;
 
+use crate::builder::{generate, Generator, Lanes};
 use crate::{PackedTrace, TraceBuilder, TraceWorkload};
 
 /// Size of one linked node record in bytes (one cache block).
@@ -87,14 +88,14 @@ impl ChaseParams {
 ///
 /// Panics if any parameter is zero.
 pub fn build(params: ChaseParams) -> TraceWorkload {
-    emit(params).finish()
+    build_packed(params).materialize()
 }
 
 /// Builds the same workload in the packed shared-trace encoding,
 /// ready to wrap in an `Arc` and replay across many runs (see
 /// [`build`]).
 pub fn build_packed(params: ChaseParams) -> PackedTrace {
-    emit(params).finish_packed()
+    generate(params)
 }
 
 /// A random permutation of `0..n` (Fisher–Yates over the seeded stream):
@@ -109,78 +110,84 @@ fn permutation(rng: &mut SplitMix64, n: u64) -> Vec<u64> {
     perm
 }
 
-fn emit(params: ChaseParams) -> TraceBuilder {
-    let ChaseParams {
-        list_nodes_per_cpu,
-        tree_nodes,
-        walks,
-        steps_per_walk,
-        probes_per_walk,
-        cpus,
-        seed,
-    } = params;
-    assert!(
-        list_nodes_per_cpu > 0 && tree_nodes > 0 && walks > 0 && steps_per_walk > 0 && cpus > 0,
-        "CHASE needs nodes, walks and processors"
-    );
-
-    let mut b = TraceBuilder::new(format!("CHASE-{list_nodes_per_cpu}n"), cpus);
-    let pool = b.alloc("ListPool", list_nodes_per_cpu * cpus as u64, NODE_BYTES);
-    let tree = b.alloc("ProbeTree", tree_nodes, NODE_BYTES);
-
-    let pc_next = b.pc_site(); // load of node.next (the chase)
-    let pc_payload = b.pc_site(); // load of node.payload
-    let pc_mark_w = b.pc_site(); // store of node.visited
-    let pc_tree = b.pc_site(); // load of a tree node during descent
-    let pc_leaf_w = b.pc_site(); // store of a leaf counter
-
-    let mut rng = SplitMix64::seed_from_u64(seed);
-    // Each cpu's slice of the pool is ordered by its own random
-    // permutation; following it is the pointer chase.
-    let orders: Vec<Vec<u64>> = (0..cpus)
-        .map(|_| permutation(&mut rng, list_nodes_per_cpu))
-        .collect();
-
-    let mut cursors = vec![0u64; cpus];
-    for _walk in 0..walks {
-        for p in 0..cpus {
-            let slice_base = p as u64 * list_nodes_per_cpu;
-            for step in 0..steps_per_walk {
-                let at = cursors[p] as usize;
-                let node = slice_base + orders[p][at];
-                // Load the next pointer — the address of the following
-                // load depends on this one, the defining property of
-                // linked-data-structure traversal.
-                b.read(p, b.element(pool, NODE_BYTES, node), pc_next);
-                b.compute(p, 3);
-                // Touch the payload (same block: records are one block).
-                b.read(p, b.field(pool, NODE_BYTES, node, 8), pc_payload);
-                // Mark every 16th node visited (private write).
-                if step % 16 == 0 {
-                    b.write(p, b.field(pool, NODE_BYTES, node, 16), pc_mark_w);
-                }
-                cursors[p] = (cursors[p] + 1) % list_nodes_per_cpu;
-            }
-
-            // Probe the shared tree: root-to-leaf descents with random
-            // comparison outcomes; a ninth of the probes update the leaf
-            // counter, moving the block between processors.
-            for _probe in 0..probes_per_walk {
-                let mut at = 1u64; // heap-shaped: children of i are 2i, 2i+1
-                while at <= tree_nodes {
-                    b.read(p, b.element(tree, NODE_BYTES, at - 1), pc_tree);
-                    b.compute(p, 2);
-                    at = 2 * at + u64::from(rng.random_bool());
-                }
-                let leaf = at / 2;
-                if rng.random_range(0..9u32) == 0 {
-                    b.write(p, b.field(tree, NODE_BYTES, leaf - 1, 24), pc_leaf_w);
-                }
-            }
-        }
-        b.barrier_all();
+impl Generator for ChaseParams {
+    fn cpus(&self) -> usize {
+        self.cpus
     }
-    b
+
+    fn emit(self, lanes: Lanes) -> TraceBuilder {
+        let ChaseParams {
+            list_nodes_per_cpu,
+            tree_nodes,
+            walks,
+            steps_per_walk,
+            probes_per_walk,
+            cpus,
+            seed,
+        } = self;
+        assert!(
+            list_nodes_per_cpu > 0 && tree_nodes > 0 && walks > 0 && steps_per_walk > 0 && cpus > 0,
+            "CHASE needs nodes, walks and processors"
+        );
+
+        let mut b = TraceBuilder::with_lanes(format!("CHASE-{list_nodes_per_cpu}n"), lanes);
+        let pool = b.alloc("ListPool", list_nodes_per_cpu * cpus as u64, NODE_BYTES);
+        let tree = b.alloc("ProbeTree", tree_nodes, NODE_BYTES);
+
+        let pc_next = b.pc_site(); // load of node.next (the chase)
+        let pc_payload = b.pc_site(); // load of node.payload
+        let pc_mark_w = b.pc_site(); // store of node.visited
+        let pc_tree = b.pc_site(); // load of a tree node during descent
+        let pc_leaf_w = b.pc_site(); // store of a leaf counter
+
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        // Each cpu's slice of the pool is ordered by its own random
+        // permutation; following it is the pointer chase.
+        let orders: Vec<Vec<u64>> = (0..cpus)
+            .map(|_| permutation(&mut rng, list_nodes_per_cpu))
+            .collect();
+
+        let mut cursors = vec![0u64; cpus];
+        for _walk in 0..walks {
+            for p in 0..cpus {
+                let slice_base = p as u64 * list_nodes_per_cpu;
+                for step in 0..steps_per_walk {
+                    let at = cursors[p] as usize;
+                    let node = slice_base + orders[p][at];
+                    // Load the next pointer — the address of the following
+                    // load depends on this one, the defining property of
+                    // linked-data-structure traversal.
+                    b.read(p, b.element(pool, NODE_BYTES, node), pc_next);
+                    b.compute(p, 3);
+                    // Touch the payload (same block: records are one block).
+                    b.read(p, b.field(pool, NODE_BYTES, node, 8), pc_payload);
+                    // Mark every 16th node visited (private write).
+                    if step % 16 == 0 {
+                        b.write(p, b.field(pool, NODE_BYTES, node, 16), pc_mark_w);
+                    }
+                    cursors[p] = (cursors[p] + 1) % list_nodes_per_cpu;
+                }
+
+                // Probe the shared tree: root-to-leaf descents with random
+                // comparison outcomes; a ninth of the probes update the leaf
+                // counter, moving the block between processors.
+                for _probe in 0..probes_per_walk {
+                    let mut at = 1u64; // heap-shaped: children of i are 2i, 2i+1
+                    while at <= tree_nodes {
+                        b.read(p, b.element(tree, NODE_BYTES, at - 1), pc_tree);
+                        b.compute(p, 2);
+                        at = 2 * at + u64::from(rng.random_bool());
+                    }
+                    let leaf = at / 2;
+                    if rng.random_range(0..9u32) == 0 {
+                        b.write(p, b.field(tree, NODE_BYTES, leaf - 1, 24), pc_leaf_w);
+                    }
+                }
+            }
+            b.barrier_all();
+        }
+        b
+    }
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 
 use pfsim_mem::SplitMix64;
 
+use crate::builder::{generate, Generator, Lanes};
 use crate::{PackedTrace, TraceBuilder, TraceWorkload};
 
 /// Problem-size parameters for Cholesky.
@@ -80,106 +81,112 @@ impl CholeskyParams {
 ///
 /// Panics if any dimension parameter is zero or `min_height > max_height`.
 pub fn build(params: CholeskyParams) -> TraceWorkload {
-    emit(params).finish()
+    build_packed(params).materialize()
 }
 
 /// Builds the same workload in the packed shared-trace encoding,
 /// ready to wrap in an `Arc` and replay across many runs (see
 /// [`build`]).
 pub fn build_packed(params: CholeskyParams) -> PackedTrace {
-    emit(params).finish_packed()
+    generate(params)
 }
 
-fn emit(params: CholeskyParams) -> TraceBuilder {
-    let CholeskyParams {
-        columns,
-        min_height,
-        max_height,
-        supernode,
-        fanout,
-        cpus,
-    } = params;
-    assert!(columns > 0 && supernode > 0 && cpus > 0);
-    assert!(min_height > 0 && min_height <= max_height);
-
-    let mut rng = SplitMix64::seed_from_u64(0x0C0D_EC01);
-    // Column heights: skyline profile, deterministic.
-    let heights: Vec<u64> = (0..columns)
-        .map(|_| rng.random_range(min_height..=max_height))
-        .collect();
-    let offsets: Vec<u64> = heights
-        .iter()
-        .scan(0u64, |acc, &h| {
-            let off = *acc;
-            *acc += h;
-            Some(off)
-        })
-        .collect();
-    let total_nnz: u64 = heights.iter().sum();
-
-    let mut b = TraceBuilder::new(format!("Cholesky-{columns}c"), cpus);
-    let l = b.alloc("L", total_nnz, 8);
-    let elem = |b: &TraceBuilder, col: usize, i: u64| b.element(l, 8, offsets[col] + i);
-
-    let pc_diag = b.pc_site();
-    let pc_scale_r = b.pc_site();
-    let pc_scale_w = b.pc_site();
-    let pc_src = b.pc_site(); // streaming read of the source column
-    let pc_dst_r = b.pc_site();
-    let pc_dst_w = b.pc_site();
-
-    // Supernodes are assigned to processors round-robin.
-    let owner = |col: u64| ((col / supernode) as usize) % cpus;
-
-    for k in 0..columns {
-        let ku = k as usize;
-        let p = owner(k);
-        // cdiv: scale column k by its diagonal.
-        b.read(p, elem(&b, ku, 0), pc_diag);
-        b.compute(p, 8);
-        for i in 1..heights[ku] {
-            b.read(p, elem(&b, ku, i), pc_scale_r);
-            b.compute(p, 2);
-            b.write(p, elem(&b, ku, i), pc_scale_w);
-        }
-
-        // cmod: update later columns with column k. The near targets model
-        // the dense band; the far targets model sparse fill (a column's
-        // nonzero rows reach far down the matrix), which is what makes a
-        // destination column be revisited long after its last touch — the
-        // source of Cholesky's replacement misses under a finite SLC.
-        let far = [
-            k + fanout + 1 + (k * 7 + 13) % 97,
-            k + fanout + 1 + (k * 13 + 61) % 251,
-            k + fanout + 1 + (k * 31 + 7) % 997,
-        ];
-        let targets = (1..=fanout)
-            .map(|step| (k + step, step))
-            .chain(far.into_iter().map(|j| (j, fanout)));
-        for (j, lag) in targets {
-            if j >= columns {
-                continue;
-            }
-            let ju = j as usize;
-            let q = owner(j);
-            let overlap = heights[ku].saturating_sub(lag).min(heights[ju]);
-            for i in 0..overlap {
-                b.read(q, elem(&b, ku, i + lag), pc_src);
-                b.read(q, elem(&b, ju, i), pc_dst_r);
-                b.compute(q, 2);
-                b.write(q, elem(&b, ju, i), pc_dst_w);
-            }
-        }
-
-        // Supernode boundary: synchronize before the next group of columns
-        // (the real code uses a task queue; a supernode-granular barrier
-        // preserves the producer-consumer ordering at far lower trace
-        // cost).
-        if (k + 1) % supernode == 0 {
-            b.barrier_all();
-        }
+impl Generator for CholeskyParams {
+    fn cpus(&self) -> usize {
+        self.cpus
     }
-    b
+
+    fn emit(self, lanes: Lanes) -> TraceBuilder {
+        let CholeskyParams {
+            columns,
+            min_height,
+            max_height,
+            supernode,
+            fanout,
+            cpus,
+        } = self;
+        assert!(columns > 0 && supernode > 0 && cpus > 0);
+        assert!(min_height > 0 && min_height <= max_height);
+
+        let mut rng = SplitMix64::seed_from_u64(0x0C0D_EC01);
+        // Column heights: skyline profile, deterministic.
+        let heights: Vec<u64> = (0..columns)
+            .map(|_| rng.random_range(min_height..=max_height))
+            .collect();
+        let offsets: Vec<u64> = heights
+            .iter()
+            .scan(0u64, |acc, &h| {
+                let off = *acc;
+                *acc += h;
+                Some(off)
+            })
+            .collect();
+        let total_nnz: u64 = heights.iter().sum();
+
+        let mut b = TraceBuilder::with_lanes(format!("Cholesky-{columns}c"), lanes);
+        let l = b.alloc("L", total_nnz, 8);
+        let elem = |b: &TraceBuilder, col: usize, i: u64| b.element(l, 8, offsets[col] + i);
+
+        let pc_diag = b.pc_site();
+        let pc_scale_r = b.pc_site();
+        let pc_scale_w = b.pc_site();
+        let pc_src = b.pc_site(); // streaming read of the source column
+        let pc_dst_r = b.pc_site();
+        let pc_dst_w = b.pc_site();
+
+        // Supernodes are assigned to processors round-robin.
+        let owner = |col: u64| ((col / supernode) as usize) % cpus;
+
+        for k in 0..columns {
+            let ku = k as usize;
+            let p = owner(k);
+            // cdiv: scale column k by its diagonal.
+            b.read(p, elem(&b, ku, 0), pc_diag);
+            b.compute(p, 8);
+            for i in 1..heights[ku] {
+                b.read(p, elem(&b, ku, i), pc_scale_r);
+                b.compute(p, 2);
+                b.write(p, elem(&b, ku, i), pc_scale_w);
+            }
+
+            // cmod: update later columns with column k. The near targets model
+            // the dense band; the far targets model sparse fill (a column's
+            // nonzero rows reach far down the matrix), which is what makes a
+            // destination column be revisited long after its last touch — the
+            // source of Cholesky's replacement misses under a finite SLC.
+            let far = [
+                k + fanout + 1 + (k * 7 + 13) % 97,
+                k + fanout + 1 + (k * 13 + 61) % 251,
+                k + fanout + 1 + (k * 31 + 7) % 997,
+            ];
+            let targets = (1..=fanout)
+                .map(|step| (k + step, step))
+                .chain(far.into_iter().map(|j| (j, fanout)));
+            for (j, lag) in targets {
+                if j >= columns {
+                    continue;
+                }
+                let ju = j as usize;
+                let q = owner(j);
+                let overlap = heights[ku].saturating_sub(lag).min(heights[ju]);
+                for i in 0..overlap {
+                    b.read(q, elem(&b, ku, i + lag), pc_src);
+                    b.read(q, elem(&b, ju, i), pc_dst_r);
+                    b.compute(q, 2);
+                    b.write(q, elem(&b, ju, i), pc_dst_w);
+                }
+            }
+
+            // Supernode boundary: synchronize before the next group of columns
+            // (the real code uses a task queue; a supernode-granular barrier
+            // preserves the producer-consumer ordering at far lower trace
+            // cost).
+            if (k + 1) % supernode == 0 {
+                b.barrier_all();
+            }
+        }
+        b
+    }
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ pub mod pthor;
 pub mod server;
 pub mod water;
 
-pub use builder::TraceBuilder;
+pub use builder::{generation_threads, TraceBuilder};
 pub use op::{Op, TraceWorkload, Workload};
 pub use packed::{OpIter, PackedTrace, TraceCursor};
 pub use stats::{packed_stats, trace_stats, TraceStats};
@@ -114,20 +114,20 @@ macro_rules! preset {
     }};
 }
 
-/// Expands to the builder call for `$app` at `$size` with `$cpus`
-/// processors, invoking either `build` or `build_packed` per `$build`.
+/// Expands to `$f(params)` with the parameters of `$app` at `$size` with
+/// `$cpus` processors; `$f` is generic over [`builder::Generator`].
 macro_rules! dispatch {
-    ($app:expr, $size:expr, $cpus:expr, $build:ident) => {
+    ($app:expr, $size:expr, $cpus:expr, $f:expr) => {
         match $app {
-            App::Mp3d => mp3d::$build(preset!(mp3d::Mp3dParams, $size, $cpus)),
-            App::Cholesky => cholesky::$build(preset!(cholesky::CholeskyParams, $size, $cpus)),
-            App::Water => water::$build(preset!(water::WaterParams, $size, $cpus)),
-            App::Lu => lu::$build(preset!(lu::LuParams, $size, $cpus)),
-            App::Ocean => ocean::$build(preset!(ocean::OceanParams, $size, $cpus)),
-            App::Pthor => pthor::$build(preset!(pthor::PthorParams, $size, $cpus, paper)),
-            App::Chase => chase::$build(preset!(chase::ChaseParams, $size, $cpus)),
-            App::Mstride => mstride::$build(preset!(mstride::MstrideParams, $size, $cpus)),
-            App::Server => server::$build(preset!(server::ServerParams, $size, $cpus)),
+            App::Mp3d => $f(preset!(mp3d::Mp3dParams, $size, $cpus)),
+            App::Cholesky => $f(preset!(cholesky::CholeskyParams, $size, $cpus)),
+            App::Water => $f(preset!(water::WaterParams, $size, $cpus)),
+            App::Lu => $f(preset!(lu::LuParams, $size, $cpus)),
+            App::Ocean => $f(preset!(ocean::OceanParams, $size, $cpus)),
+            App::Pthor => $f(preset!(pthor::PthorParams, $size, $cpus, paper)),
+            App::Chase => $f(preset!(chase::ChaseParams, $size, $cpus)),
+            App::Mstride => $f(preset!(mstride::MstrideParams, $size, $cpus)),
+            App::Server => $f(preset!(server::ServerParams, $size, $cpus)),
         }
     };
 }
@@ -178,12 +178,12 @@ impl App {
     /// processors. With `cpus == 16` this is identical to the fixed
     /// builders below; other counts re-partition the same algorithm.
     pub fn build_for(self, size: ProblemSize, cpus: usize) -> TraceWorkload {
-        dispatch!(self, size, cpus, build)
+        self.build_packed_for(size, cpus).materialize()
     }
 
     /// Packed counterpart of [`build_for`](Self::build_for).
     pub fn build_packed_for(self, size: ProblemSize, cpus: usize) -> PackedTrace {
-        dispatch!(self, size, cpus, build_packed)
+        dispatch!(self, size, cpus, builder::generate)
     }
 
     /// Builds the workload at the default (scaled-down) problem size.
@@ -262,6 +262,41 @@ mod tests {
                 app.build_default_packed(),
                 "{app}"
             );
+        }
+    }
+
+    /// The generator's trace from one builder owning every lane.
+    fn single_builder<G: builder::Generator>(params: G) -> PackedTrace {
+        params
+            .emit(builder::Lanes::all(params.cpus()))
+            .finish_packed()
+    }
+
+    /// Checks that generating `params` split into each of `shards` lane
+    /// shards gives exactly the single-builder trace.
+    fn shards_match_single_builder<G: builder::Generator>(params: G, shards: &[usize]) {
+        let single = single_builder(params);
+        for &n in shards {
+            let sharded = builder::generate_sharded(params, n);
+            assert!(sharded == single, "{} with {n} shards", single.name());
+        }
+    }
+
+    #[test]
+    fn sharded_generation_matches_a_single_builder() {
+        for app in App::EVERY {
+            let shards: &[usize] = match app {
+                App::Lu => &[1, 2, 3, 16],
+                _ => &[1, 2, 3],
+            };
+            dispatch!(app, ProblemSize::Default, 16, |p| {
+                shards_match_single_builder(p, shards)
+            });
+        }
+        for app in App::MODERN {
+            dispatch!(app, ProblemSize::Default, 64, |p| {
+                shards_match_single_builder(p, &[1, 2, 3])
+            });
         }
     }
 

@@ -11,6 +11,7 @@
 //! measures 93% of LU's misses inside stride sequences with dominant
 //! stride 1 and an average sequence length of ~17 (Table 2).
 
+use crate::builder::{generate, Generator, Lanes};
 use crate::{PackedTrace, TraceBuilder, TraceWorkload};
 
 /// Problem-size parameters for LU.
@@ -47,65 +48,71 @@ impl LuParams {
 ///
 /// Panics if `n` or `cpus` is zero.
 pub fn build(params: LuParams) -> TraceWorkload {
-    emit(params).finish()
+    build_packed(params).materialize()
 }
 
 /// Builds the same workload in the packed shared-trace encoding,
 /// ready to wrap in an `Arc` and replay across many runs (see
 /// [`build`]).
 pub fn build_packed(params: LuParams) -> PackedTrace {
-    emit(params).finish_packed()
+    generate(params)
 }
 
-fn emit(params: LuParams) -> TraceBuilder {
-    let LuParams { n, cpus } = params;
-    assert!(n > 0 && cpus > 0, "LU needs a matrix and processors");
-
-    let mut b = TraceBuilder::new(format!("LU-{n}x{n}"), cpus);
-    let a = b.alloc("A", n * n, 8);
-    // Column-major: A[i,j] lives at a + (j*n + i)*8.
-    let elem = |b: &TraceBuilder, i: u64, j: u64| b.element(a, 8, j * n + i);
-
-    let pc_diag = b.pc_site(); // load of A[k,k]
-    let pc_norm_r = b.pc_site(); // load of A[i,k] in the normalize loop
-    let pc_norm_w = b.pc_site(); // store of A[i,k]
-    let pc_piv_elem = b.pc_site(); // load of A[k,j]
-    let pc_colk = b.pc_site(); // load of A[i,k] in the update loop
-    let pc_own_r = b.pc_site(); // load of A[i,j]
-    let pc_own_w = b.pc_site(); // store of A[i,j]
-
-    let owner = |j: u64| (j as usize) % cpus;
-
-    for k in 0..n {
-        // Normalize column k (its owner divides by the pivot).
-        let p = owner(k);
-        b.read(p, elem(&b, k, k), pc_diag);
-        b.compute(p, 6); // the division
-        for i in k + 1..n {
-            b.read(p, elem(&b, i, k), pc_norm_r);
-            b.compute(p, 2);
-            b.write(p, elem(&b, i, k), pc_norm_w);
-        }
-        b.barrier_all();
-
-        // Update trailing columns: A[i,j] -= A[i,k] * A[k,j].
-        for j in k + 1..n {
-            let p = owner(j);
-            b.read(p, elem(&b, k, j), pc_piv_elem);
-            for i in k + 1..n {
-                b.read(p, elem(&b, i, k), pc_colk);
-                b.read(p, elem(&b, i, j), pc_own_r);
-                // One double-precision multiply-subtract plus index and
-                // loop overhead; early-90s SPARC FPUs are not fully
-                // pipelined, so an inner daxpy iteration costs ~15 pclocks
-                // end to end.
-                b.compute(p, 12);
-                b.write(p, elem(&b, i, j), pc_own_w);
-            }
-        }
-        b.barrier_all();
+impl Generator for LuParams {
+    fn cpus(&self) -> usize {
+        self.cpus
     }
-    b
+
+    fn emit(self, lanes: Lanes) -> TraceBuilder {
+        let LuParams { n, cpus } = self;
+        assert!(n > 0 && cpus > 0, "LU needs a matrix and processors");
+
+        let mut b = TraceBuilder::with_lanes(format!("LU-{n}x{n}"), lanes);
+        let a = b.alloc("A", n * n, 8);
+        // Column-major: A[i,j] lives at a + (j*n + i)*8.
+        let elem = |b: &TraceBuilder, i: u64, j: u64| b.element(a, 8, j * n + i);
+
+        let pc_diag = b.pc_site(); // load of A[k,k]
+        let pc_norm_r = b.pc_site(); // load of A[i,k] in the normalize loop
+        let pc_norm_w = b.pc_site(); // store of A[i,k]
+        let pc_piv_elem = b.pc_site(); // load of A[k,j]
+        let pc_colk = b.pc_site(); // load of A[i,k] in the update loop
+        let pc_own_r = b.pc_site(); // load of A[i,j]
+        let pc_own_w = b.pc_site(); // store of A[i,j]
+
+        let owner = |j: u64| (j as usize) % cpus;
+
+        for k in 0..n {
+            // Normalize column k (its owner divides by the pivot).
+            let p = owner(k);
+            b.read(p, elem(&b, k, k), pc_diag);
+            b.compute(p, 6); // the division
+            for i in k + 1..n {
+                b.read(p, elem(&b, i, k), pc_norm_r);
+                b.compute(p, 2);
+                b.write(p, elem(&b, i, k), pc_norm_w);
+            }
+            b.barrier_all();
+
+            // Update trailing columns: A[i,j] -= A[i,k] * A[k,j].
+            for j in k + 1..n {
+                let p = owner(j);
+                b.read(p, elem(&b, k, j), pc_piv_elem);
+                for i in k + 1..n {
+                    b.read(p, elem(&b, i, k), pc_colk);
+                    b.read(p, elem(&b, i, j), pc_own_r);
+                    // One double-precision multiply-subtract plus index and
+                    // loop overhead; early-90s SPARC FPUs are not fully
+                    // pipelined, so an inner daxpy iteration costs ~15 pclocks
+                    // end to end.
+                    b.compute(p, 12);
+                    b.write(p, elem(&b, i, j), pc_own_w);
+                }
+            }
+            b.barrier_all();
+        }
+        b
+    }
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@
 
 use pfsim_mem::SplitMix64;
 
+use crate::builder::{generate, Generator, Lanes};
 use crate::{PackedTrace, TraceBuilder, TraceWorkload};
 
 /// Size of one particle record in bytes.
@@ -81,116 +82,122 @@ impl Mp3dParams {
 ///
 /// Panics if there are fewer particles than processors.
 pub fn build(params: Mp3dParams) -> TraceWorkload {
-    emit(params).finish()
+    build_packed(params).materialize()
 }
 
 /// Builds the same workload in the packed shared-trace encoding,
 /// ready to wrap in an `Arc` and replay across many runs (see
 /// [`build`]).
 pub fn build_packed(params: Mp3dParams) -> PackedTrace {
-    emit(params).finish_packed()
+    generate(params)
 }
 
-fn emit(params: Mp3dParams) -> TraceBuilder {
-    let Mp3dParams {
-        particles,
-        cells,
-        steps,
-        collision_pct,
-        cpus,
-    } = params;
-    assert!(particles >= cpus as u64);
-    assert!(cells > 16);
-
-    let mut b = TraceBuilder::new(format!("MP3D-{particles}p"), cpus);
-    let part = b.alloc("Particles", particles, PARTICLE_BYTES);
-    let space = b.alloc("SpaceCells", cells, CELL_BYTES);
-    // The ambient-gas reservoir: consulted and updated whenever a particle
-    // moves, with essentially random cell association — a second source of
-    // scattered coherence misses, as in the original program's reservoir
-    // and boundary-cell handling.
-    let reservoir = b.alloc("Reservoir", cells, 8);
-    let counters = b.alloc("GlobalCounters", 4, 32);
-    let counter_lock = b.alloc("CounterLock", 1, 32);
-
-    let pc_own_r = b.pc_site();
-    let pc_own_w = b.pc_site();
-    let pc_cell_r = b.pc_site();
-    let pc_cell_w = b.pc_site();
-    let pc_coll_r = b.pc_site();
-    let pc_coll_w = b.pc_site();
-    let pc_res_r = b.pc_site();
-    let pc_res_w = b.pc_site();
-    let pc_cnt_r = b.pc_site();
-    let pc_cnt_w = b.pc_site();
-
-    let per_cpu = particles / cpus as u64;
-    let mut rng = SplitMix64::seed_from_u64(0x3D_3D_3D);
-
-    for step in 0..steps {
-        for p in 0..cpus {
-            let lo = p as u64 * per_cpu;
-            let hi = if p == cpus - 1 {
-                particles
-            } else {
-                lo + per_cpu
-            };
-            for i in lo..hi {
-                // Move phase: read and rewrite the particle's own record.
-                b.read(p, b.element(part, PARTICLE_BYTES, i), pc_own_r);
-                b.compute(p, 8);
-                b.write(p, b.element(part, PARTICLE_BYTES, i), pc_own_w);
-
-                // The particle's space cell: each particle has its own
-                // velocity, so positions drift apart over the steps and a
-                // processor's particles cross cells that other processors'
-                // particles also visit (coherence misses). Consecutive
-                // particles still land in *nearby* cells — spatial
-                // locality — but the jitter keeps the walk from being
-                // equidistant, so it does not read as stride sequences.
-                let velocity = (i * 2_654_435_761 % 33) as i64 - 16;
-                let base_cell = (i * cells / particles) as i64
-                    + i64::from(step) * velocity
-                    + rng.random_range(-5..=5);
-                let cell = base_cell.rem_euclid(cells as i64) as u64;
-                b.read(p, b.element(space, CELL_BYTES, cell), pc_cell_r);
-                b.compute(p, 4);
-                b.write(p, b.element(space, CELL_BYTES, cell), pc_cell_w);
-
-                // Reservoir interaction: read the ambient state around
-                // the particle's cell and update a neighbouring entry.
-                // The addresses are scattered (written by many
-                // processors, never equidistant) but spatially local —
-                // the same block-neighbourhood locality as the cell walk,
-                // which is what sequential prefetching exploits in MP3D.
-                let res_r =
-                    (cell as i64 + rng.random_range(-12..=12)).rem_euclid(cells as i64) as u64;
-                let res_w =
-                    (cell as i64 + rng.random_range(-12..=12)).rem_euclid(cells as i64) as u64;
-                b.read(p, b.element(reservoir, 8, res_r), pc_res_r);
-                b.write(p, b.element(reservoir, 8, res_w), pc_res_w);
-
-                // Collision phase: with some probability, pick a partner
-                // from the same cell neighbourhood (usually another
-                // processor's particle) and exchange momentum.
-                if rng.random_range(0..100) < collision_pct {
-                    let span = particles / 8;
-                    let offset = rng.random_range(0..span);
-                    let partner = (cell * particles / cells + offset) % particles;
-                    b.read(p, b.element(part, PARTICLE_BYTES, partner), pc_coll_r);
-                    b.compute(p, 6);
-                    b.write(p, b.element(part, PARTICLE_BYTES, partner), pc_coll_w);
-                }
-            }
-            // Per-step bookkeeping under the global lock.
-            b.acquire(p, counter_lock);
-            b.read(p, b.element(counters, 32, 0), pc_cnt_r);
-            b.write(p, b.element(counters, 32, 0), pc_cnt_w);
-            b.release(p, counter_lock);
-        }
-        b.barrier_all();
+impl Generator for Mp3dParams {
+    fn cpus(&self) -> usize {
+        self.cpus
     }
-    b
+
+    fn emit(self, lanes: Lanes) -> TraceBuilder {
+        let Mp3dParams {
+            particles,
+            cells,
+            steps,
+            collision_pct,
+            cpus,
+        } = self;
+        assert!(particles >= cpus as u64);
+        assert!(cells > 16);
+
+        let mut b = TraceBuilder::with_lanes(format!("MP3D-{particles}p"), lanes);
+        let part = b.alloc("Particles", particles, PARTICLE_BYTES);
+        let space = b.alloc("SpaceCells", cells, CELL_BYTES);
+        // The ambient-gas reservoir: consulted and updated whenever a particle
+        // moves, with essentially random cell association — a second source of
+        // scattered coherence misses, as in the original program's reservoir
+        // and boundary-cell handling.
+        let reservoir = b.alloc("Reservoir", cells, 8);
+        let counters = b.alloc("GlobalCounters", 4, 32);
+        let counter_lock = b.alloc("CounterLock", 1, 32);
+
+        let pc_own_r = b.pc_site();
+        let pc_own_w = b.pc_site();
+        let pc_cell_r = b.pc_site();
+        let pc_cell_w = b.pc_site();
+        let pc_coll_r = b.pc_site();
+        let pc_coll_w = b.pc_site();
+        let pc_res_r = b.pc_site();
+        let pc_res_w = b.pc_site();
+        let pc_cnt_r = b.pc_site();
+        let pc_cnt_w = b.pc_site();
+
+        let per_cpu = particles / cpus as u64;
+        let mut rng = SplitMix64::seed_from_u64(0x3D_3D_3D);
+
+        for step in 0..steps {
+            for p in 0..cpus {
+                let lo = p as u64 * per_cpu;
+                let hi = if p == cpus - 1 {
+                    particles
+                } else {
+                    lo + per_cpu
+                };
+                for i in lo..hi {
+                    // Move phase: read and rewrite the particle's own record.
+                    b.read(p, b.element(part, PARTICLE_BYTES, i), pc_own_r);
+                    b.compute(p, 8);
+                    b.write(p, b.element(part, PARTICLE_BYTES, i), pc_own_w);
+
+                    // The particle's space cell: each particle has its own
+                    // velocity, so positions drift apart over the steps and a
+                    // processor's particles cross cells that other processors'
+                    // particles also visit (coherence misses). Consecutive
+                    // particles still land in *nearby* cells — spatial
+                    // locality — but the jitter keeps the walk from being
+                    // equidistant, so it does not read as stride sequences.
+                    let velocity = (i * 2_654_435_761 % 33) as i64 - 16;
+                    let base_cell = (i * cells / particles) as i64
+                        + i64::from(step) * velocity
+                        + rng.random_range(-5..=5);
+                    let cell = base_cell.rem_euclid(cells as i64) as u64;
+                    b.read(p, b.element(space, CELL_BYTES, cell), pc_cell_r);
+                    b.compute(p, 4);
+                    b.write(p, b.element(space, CELL_BYTES, cell), pc_cell_w);
+
+                    // Reservoir interaction: read the ambient state around
+                    // the particle's cell and update a neighbouring entry.
+                    // The addresses are scattered (written by many
+                    // processors, never equidistant) but spatially local —
+                    // the same block-neighbourhood locality as the cell walk,
+                    // which is what sequential prefetching exploits in MP3D.
+                    let res_r =
+                        (cell as i64 + rng.random_range(-12..=12)).rem_euclid(cells as i64) as u64;
+                    let res_w =
+                        (cell as i64 + rng.random_range(-12..=12)).rem_euclid(cells as i64) as u64;
+                    b.read(p, b.element(reservoir, 8, res_r), pc_res_r);
+                    b.write(p, b.element(reservoir, 8, res_w), pc_res_w);
+
+                    // Collision phase: with some probability, pick a partner
+                    // from the same cell neighbourhood (usually another
+                    // processor's particle) and exchange momentum.
+                    if rng.random_range(0..100) < collision_pct {
+                        let span = particles / 8;
+                        let offset = rng.random_range(0..span);
+                        let partner = (cell * particles / cells + offset) % particles;
+                        b.read(p, b.element(part, PARTICLE_BYTES, partner), pc_coll_r);
+                        b.compute(p, 6);
+                        b.write(p, b.element(part, PARTICLE_BYTES, partner), pc_coll_w);
+                    }
+                }
+                // Per-step bookkeeping under the global lock.
+                b.acquire(p, counter_lock);
+                b.read(p, b.element(counters, 32, 0), pc_cnt_r);
+                b.write(p, b.element(counters, 32, 0), pc_cnt_w);
+                b.release(p, counter_lock);
+            }
+            b.barrier_all();
+        }
+        b
+    }
 }
 
 #[cfg(test)]

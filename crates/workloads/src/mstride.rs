@@ -12,6 +12,7 @@
 //! neighbouring processor's output row, so the kernel also carries
 //! coherence traffic, not just private strides.
 
+use crate::builder::{generate, Generator, Lanes};
 use crate::{PackedTrace, TraceBuilder, TraceWorkload};
 
 /// Element size in bytes (double precision).
@@ -77,64 +78,70 @@ impl MstrideParams {
 ///
 /// Panics if any dimension, stride or the processor count is zero.
 pub fn build(params: MstrideParams) -> TraceWorkload {
-    emit(params).finish()
+    build_packed(params).materialize()
 }
 
 /// Builds the same workload in the packed shared-trace encoding,
 /// ready to wrap in an `Arc` and replay across many runs (see
 /// [`build`]).
 pub fn build_packed(params: MstrideParams) -> PackedTrace {
-    emit(params).finish_packed()
+    generate(params)
 }
 
-fn emit(params: MstrideParams) -> TraceBuilder {
-    let MstrideParams {
-        rows,
-        cols,
-        strides: (sa, sb, sc),
-        iters,
-        cpus,
-    } = params;
-    assert!(
-        rows > 0 && cols > 0 && iters > 0 && cpus > 0 && sa > 0 && sb > 0 && sc > 0,
-        "MSTRIDE needs a nonempty iteration space and nonzero strides"
-    );
-
-    let mut b = TraceBuilder::new(format!("MSTRIDE-{rows}x{cols}"), cpus);
-    // Operand extents cover the largest strided index each site reaches.
-    let a = b.alloc("A", rows * cols * sa, ELEMENT_BYTES);
-    let bb = b.alloc("B", rows + cols * sb, ELEMENT_BYTES);
-    let c = b.alloc("C", rows * cols * sc, ELEMENT_BYTES);
-
-    let pc_a = b.pc_site(); // stride-sa stream
-    let pc_b = b.pc_site(); // stride-sb stream (column walk)
-    let pc_halo = b.pc_site(); // neighbour row of C (communication)
-    let pc_c_w = b.pc_site(); // stride-sc output stream
-
-    for _it in 0..iters {
-        for r in 0..rows {
-            let p = (r as usize) % cpus;
-            for j in 0..cols {
-                // Three concurrent strides from three static sites.
-                b.read(p, b.element(a, ELEMENT_BYTES, (r * cols + j) * sa), pc_a);
-                b.read(p, b.element(bb, ELEMENT_BYTES, r + j * sb), pc_b);
-                // Re-read the next row's output — written by the
-                // neighbouring processor last iteration.
-                if j % 8 == 0 {
-                    let nr = (r + 1) % rows;
-                    b.read(
-                        p,
-                        b.element(c, ELEMENT_BYTES, (nr * cols + j) * sc),
-                        pc_halo,
-                    );
-                }
-                b.compute(p, 8);
-                b.write(p, b.element(c, ELEMENT_BYTES, (r * cols + j) * sc), pc_c_w);
-            }
-        }
-        b.barrier_all();
+impl Generator for MstrideParams {
+    fn cpus(&self) -> usize {
+        self.cpus
     }
-    b
+
+    fn emit(self, lanes: Lanes) -> TraceBuilder {
+        let MstrideParams {
+            rows,
+            cols,
+            strides: (sa, sb, sc),
+            iters,
+            cpus,
+        } = self;
+        assert!(
+            rows > 0 && cols > 0 && iters > 0 && cpus > 0 && sa > 0 && sb > 0 && sc > 0,
+            "MSTRIDE needs a nonempty iteration space and nonzero strides"
+        );
+
+        let mut b = TraceBuilder::with_lanes(format!("MSTRIDE-{rows}x{cols}"), lanes);
+        // Operand extents cover the largest strided index each site reaches.
+        let a = b.alloc("A", rows * cols * sa, ELEMENT_BYTES);
+        let bb = b.alloc("B", rows + cols * sb, ELEMENT_BYTES);
+        let c = b.alloc("C", rows * cols * sc, ELEMENT_BYTES);
+
+        let pc_a = b.pc_site(); // stride-sa stream
+        let pc_b = b.pc_site(); // stride-sb stream (column walk)
+        let pc_halo = b.pc_site(); // neighbour row of C (communication)
+        let pc_c_w = b.pc_site(); // stride-sc output stream
+
+        for _it in 0..iters {
+            for r in 0..rows {
+                let p = (r as usize) % cpus;
+                for j in 0..cols {
+                    // Three concurrent strides from three static sites.
+                    b.read(p, b.element(a, ELEMENT_BYTES, (r * cols + j) * sa), pc_a);
+                    b.read(p, b.element(bb, ELEMENT_BYTES, r + j * sb), pc_b);
+                    // Re-read the next row's output — written by the
+                    // neighbouring processor last iteration.
+                    if j % 8 == 0 {
+                        let nr = (r + 1) % rows;
+                        b.read(
+                            p,
+                            b.element(c, ELEMENT_BYTES, (nr * cols + j) * sc),
+                            pc_halo,
+                        );
+                    }
+                    b.compute(p, 8);
+                    b.write(p, b.element(c, ELEMENT_BYTES, (r * cols + j) * sc), pc_c_w);
+                }
+            }
+            b.barrier_all();
+        }
+        b
+    }
 }
 
 #[cfg(test)]

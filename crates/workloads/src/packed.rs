@@ -72,7 +72,42 @@ pub(crate) struct PackedLane {
     pcs: Vec<Pc>,
 }
 
-impl PackedLane {
+/// Memo slots in front of a lane's PC-table search.
+const MEMO_SLOTS: usize = 16;
+
+/// A lane under construction: its packed streams plus build-time state
+/// that never reaches the [`PackedTrace`].
+///
+/// `memo` is a direct-mapped cache of PC-table indices keyed by
+/// `(pc >> 2) & 15` (sites are word-aligned, so the low two bits carry no
+/// information). A hit is verified against the table, so any slot content
+/// is safe and a collision only costs the linear search it replaces.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LaneWriter {
+    lane: PackedLane,
+    memo: [u8; MEMO_SLOTS],
+}
+
+impl LaneWriter {
+    /// An empty lane with room for `ops` operations (and as many payload
+    /// words) before its buffers first grow. The PC table is sized for
+    /// its full capacity up front.
+    pub(crate) fn with_capacity(ops: usize) -> Self {
+        LaneWriter {
+            lane: PackedLane {
+                opcodes: Vec::with_capacity(ops),
+                payload: Vec::with_capacity(ops),
+                pcs: Vec::with_capacity(usize::from(opcode::PC_ESCAPE)),
+            },
+            memo: [0; MEMO_SLOTS],
+        }
+    }
+
+    /// The finished lane, without the build-time memo.
+    pub(crate) fn finish(self) -> PackedLane {
+        self.lane
+    }
+
     /// Appends `op`, coalescing into a preceding `Compute` when possible.
     ///
     /// Zero-cycle computes are dropped and back-to-back computes merge
@@ -90,31 +125,33 @@ impl PackedLane {
                     Some(prev) => prev.saturating_add(cycles),
                     None => cycles,
                 };
+                let lane = &mut self.lane;
                 if cycles <= opcode::MAX_IMM_CYCLES {
-                    self.opcodes.push(opcode::COMPUTE | (cycles as u8) << 4);
+                    lane.opcodes.push(opcode::COMPUTE | (cycles as u8) << 4);
                 } else {
-                    self.opcodes.push(opcode::COMPUTE);
-                    self.payload.push(cycles);
+                    lane.opcodes.push(opcode::COMPUTE);
+                    lane.payload.push(cycles);
                 }
             }
             Op::Acquire { lock } => self.push_mem(opcode::ACQUIRE, lock, None),
             Op::Release { lock } => self.push_mem(opcode::RELEASE, lock, None),
             Op::Barrier { id } => {
-                self.opcodes.push(opcode::BARRIER);
-                self.payload.push(id);
+                self.lane.opcodes.push(opcode::BARRIER);
+                self.lane.payload.push(id);
             }
         }
     }
 
     /// Removes a trailing compute op and returns its cycle count.
     fn pop_compute(&mut self) -> Option<u32> {
-        let &last = self.opcodes.last()?;
+        let lane = &mut self.lane;
+        let &last = lane.opcodes.last()?;
         if last & opcode::KIND != opcode::COMPUTE {
             return None;
         }
-        self.opcodes.pop();
+        lane.opcodes.pop();
         Some(match last >> 4 {
-            0 => self.payload.pop().expect("payload compute has its count"),
+            0 => lane.payload.pop().expect("payload compute has its count"),
             imm => u32::from(imm),
         })
     }
@@ -122,36 +159,47 @@ impl PackedLane {
     /// The immediate naming `pc`: its table slot, claiming a free one if
     /// needed, or the escape once the table is full.
     fn pc_index(&mut self, pc: Pc) -> u8 {
-        if let Some(i) = self.pcs.iter().position(|&p| p == pc) {
-            return i as u8;
+        let slot = (pc.as_u32() >> 2) as usize % MEMO_SLOTS;
+        let pcs = &mut self.lane.pcs;
+        let memo = self.memo[slot];
+        if pcs.get(usize::from(memo)) == Some(&pc) {
+            return memo;
         }
-        if self.pcs.len() < usize::from(opcode::PC_ESCAPE) {
-            self.pcs.push(pc);
-            return (self.pcs.len() - 1) as u8;
-        }
-        opcode::PC_ESCAPE
+        let i = match pcs.iter().position(|&p| p == pc) {
+            Some(i) => i as u8,
+            None if pcs.len() < usize::from(opcode::PC_ESCAPE) => {
+                pcs.push(pc);
+                (pcs.len() - 1) as u8
+            }
+            None => return opcode::PC_ESCAPE,
+        };
+        self.memo[slot] = i;
+        i
     }
 
     /// Emits an address-carrying op. `base` must be a narrow opcode whose
     /// wide escape is `base + 1`; `pc` is `Some` for reads and writes.
     fn push_mem(&mut self, base: u8, addr: Addr, pc: Option<Pc>) {
         let imm = pc.map_or(0, |pc| self.pc_index(pc));
+        let lane = &mut self.lane;
         let raw = addr.as_u64();
         let lo = raw as u32;
         let hi = (raw >> 32) as u32;
         if hi == 0 {
-            self.opcodes.push(base | imm << 4);
-            self.payload.push(lo);
+            lane.opcodes.push(base | imm << 4);
+            lane.payload.push(lo);
         } else {
-            self.opcodes.push((base + 1) | imm << 4);
-            self.payload.push(lo);
-            self.payload.push(hi);
+            lane.opcodes.push((base + 1) | imm << 4);
+            lane.payload.push(lo);
+            lane.payload.push(hi);
         }
         if let (Some(pc), opcode::PC_ESCAPE) = (pc, imm) {
-            self.payload.push(pc.as_u32());
+            lane.payload.push(pc.as_u32());
         }
     }
+}
 
+impl PackedLane {
     fn packed_bytes(&self) -> usize {
         self.opcodes.len() + 4 * self.payload.len() + 4 * self.pcs.len()
     }
@@ -495,11 +543,11 @@ mod tests {
     }
 
     fn pack(ops: &[Op]) -> PackedTrace {
-        let mut lane = PackedLane::default();
+        let mut lane = LaneWriter::default();
         for &op in ops {
             lane.push(op);
         }
-        PackedTrace::from_lanes("t".into(), vec![lane])
+        PackedTrace::from_lanes("t".into(), vec![lane.finish()])
     }
 
     #[test]
@@ -525,13 +573,13 @@ mod tests {
 
     #[test]
     fn computes_coalesce_and_zero_cycles_drop() {
-        let mut lane = PackedLane::default();
+        let mut lane = LaneWriter::default();
         lane.push(Op::Compute { cycles: 2 });
         lane.push(Op::Compute { cycles: 3 });
         lane.push(Op::Compute { cycles: 0 });
         lane.push(Op::Barrier { id: 0 });
         lane.push(Op::Compute { cycles: 1 });
-        let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
+        let trace = PackedTrace::from_lanes("t".into(), vec![lane.finish()]);
         let decoded: Vec<Op> = trace.iter_cpu(0).collect();
         assert_eq!(
             decoded,
@@ -547,10 +595,10 @@ mod tests {
     fn compute_coalescing_saturates() {
         // From a payload count and from an immediate one.
         for first in [u32::MAX - 1, 10] {
-            let mut lane = PackedLane::default();
+            let mut lane = LaneWriter::default();
             lane.push(Op::Compute { cycles: first });
             lane.push(Op::Compute { cycles: u32::MAX });
-            let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
+            let trace = PackedTrace::from_lanes("t".into(), vec![lane.finish()]);
             let decoded: Vec<Op> = trace.iter_cpu(0).collect();
             assert_eq!(decoded, vec![Op::Compute { cycles: u32::MAX }]);
             assert_eq!(trace.packed_bytes(), 5, "saturated count is a payload word");
@@ -574,23 +622,27 @@ mod tests {
 
     #[test]
     fn coalescing_re_encodes_across_the_immediate_limit() {
-        let mut lane = PackedLane::default();
+        let mut lane = LaneWriter::default();
         lane.push(Op::Compute { cycles: 10 });
-        assert_eq!(lane.packed_bytes(), 1);
+        assert_eq!(lane.lane.packed_bytes(), 1);
         lane.push(Op::Compute { cycles: 5 });
-        assert_eq!(lane.packed_bytes(), 1, "15 still fits the immediate");
+        assert_eq!(lane.lane.packed_bytes(), 1, "15 still fits the immediate");
         lane.push(Op::Compute { cycles: 5 });
-        assert_eq!(lane.packed_bytes(), 5, "20 moves to the payload");
+        assert_eq!(lane.lane.packed_bytes(), 5, "20 moves to the payload");
         lane.push(Op::Compute { cycles: 3 });
-        assert_eq!(lane.packed_bytes(), 5, "a payload count stays in place");
-        let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
+        assert_eq!(
+            lane.lane.packed_bytes(),
+            5,
+            "a payload count stays in place"
+        );
+        let trace = PackedTrace::from_lanes("t".into(), vec![lane.finish()]);
         let decoded: Vec<Op> = trace.iter_cpu(0).collect();
         assert_eq!(decoded, vec![Op::Compute { cycles: 23 }]);
 
-        let mut lane = PackedLane::default();
+        let mut lane = LaneWriter::default();
         lane.push(Op::Compute { cycles: 10 });
         lane.push(Op::Compute { cycles: 10 });
-        let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
+        let trace = PackedTrace::from_lanes("t".into(), vec![lane.finish()]);
         let decoded: Vec<Op> = trace.iter_cpu(0).collect();
         assert_eq!(decoded, vec![Op::Compute { cycles: 20 }]);
         assert_eq!(trace.packed_bytes(), 5);
@@ -629,6 +681,31 @@ mod tests {
         });
         sixteen.push(read(3));
         assert_eq!(packed_bytes_of(&sixteen), 15 * 5 + 15 * 4 + 9 + 13 + 5);
+    }
+
+    #[test]
+    fn pcs_sharing_a_memo_slot_round_trip() {
+        // Site strides of 4 bytes give each PC its own memo slot; 64 bytes
+        // put every PC in slot 0. Either way 15 distinct PCs fit the
+        // table and the 16th and 17th take the escape, whatever order the
+        // sites recur in.
+        for stride in [4, 64] {
+            for distinct in [2u32, 15, 16, 17] {
+                let read = |k: u32| Op::Read {
+                    addr: Addr::new(0x1000 + 32 * u64::from(k)),
+                    pc: Pc::new(0x400 + stride * (k % distinct)),
+                };
+                let ops: Vec<Op> = (0..3 * distinct).map(read).collect();
+                let table = distinct.min(15) as usize;
+                let escaped = distinct.saturating_sub(15) as usize;
+                let reads = ops.len();
+                assert_eq!(
+                    packed_bytes_of(&ops),
+                    reads * 5 + table * 4 + 3 * escaped * 4,
+                    "stride {stride}, {distinct} PCs"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use pfsim_mem::SplitMix64;
 
+use crate::builder::{generate, Generator, Lanes};
 use crate::{PackedTrace, TraceBuilder, TraceWorkload};
 
 /// Size of one circuit-element record in bytes (one cache block).
@@ -61,92 +62,98 @@ impl PthorParams {
 ///
 /// Panics if any parameter is zero.
 pub fn build(params: PthorParams) -> TraceWorkload {
-    emit(params).finish()
+    build_packed(params).materialize()
 }
 
 /// Builds the same workload in the packed shared-trace encoding,
 /// ready to wrap in an `Arc` and replay across many runs (see
 /// [`build`]).
 pub fn build_packed(params: PthorParams) -> PackedTrace {
-    emit(params).finish_packed()
+    generate(params)
 }
 
-fn emit(params: PthorParams) -> TraceBuilder {
-    let PthorParams {
-        elements,
-        tasks_per_cpu,
-        fanout,
-        cpus,
-    } = params;
-    assert!(elements > 0 && tasks_per_cpu > 0 && fanout > 0 && cpus > 0);
-
-    let mut b = TraceBuilder::new(format!("PTHOR-{elements}e"), cpus);
-    let elems = b.alloc("Elements", elements, ELEMENT_BYTES);
-    // Netlist: `fanout` successor ids per element, 4 bytes each.
-    let netlist = b.alloc("Netlist", elements * fanout, 4);
-    let queues = b.alloc("TaskQueues", cpus as u64, 64);
-    let queue_locks = b.alloc("QueueLocks", cpus as u64, 32);
-    let clock = b.alloc("GlobalClock", 1, 32);
-
-    let pc_elem_r = b.pc_site();
-    let pc_elem_w = b.pc_site();
-    let pc_net = b.pc_site();
-    let pc_queue_r = b.pc_site();
-    let pc_queue_w = b.pc_site();
-    let pc_clock = b.pc_site();
-    let pc_act_w = b.pc_site();
-
-    let mut rng = SplitMix64::seed_from_u64(0x7404);
-    // The randomized netlist topology (deterministic).
-    let successors: Vec<u64> = (0..elements * fanout)
-        .map(|_| rng.random_range(0..elements))
-        .collect();
-
-    // Each processor starts from a rotating cursor over the element space
-    // and follows netlist pointers, as the activation lists make the real
-    // simulator do.
-    let mut cursors: Vec<u64> = (0..cpus as u64)
-        .map(|p| p * elements / cpus as u64)
-        .collect();
-
-    for round in 0..tasks_per_cpu {
-        #[allow(clippy::needless_range_loop)] // p is also the cpu id
-        for p in 0..cpus {
-            let e = cursors[p] % elements;
-
-            // Pop a task: the queue head is lock-protected; stealing makes
-            // a ninth of the pops hit a remote queue.
-            let victim = if rng.random_range(0..9u32) == 0 {
-                rng.random_range(0..cpus as u64)
-            } else {
-                p as u64
-            };
-            b.acquire(p, b.element(queue_locks, 32, victim));
-            b.read(p, b.element(queues, 64, victim), pc_queue_r);
-            b.write(p, b.element(queues, 64, victim), pc_queue_w);
-            b.release(p, b.element(queue_locks, 32, victim));
-
-            // Evaluate the element.
-            b.read(p, b.element(elems, ELEMENT_BYTES, e), pc_elem_r);
-            b.compute(p, 10);
-            b.write(p, b.element(elems, ELEMENT_BYTES, e), pc_elem_w);
-
-            // Read its netlist entry and activate one successor (a write
-            // into the successor's record schedules it).
-            let slot = e * fanout + u64::from(rng.random_range(0..fanout as u32));
-            b.read(p, b.element(netlist, 4, slot), pc_net);
-            let succ = successors[slot as usize];
-            b.write(p, b.element(elems, ELEMENT_BYTES, succ), pc_act_w);
-
-            // Consult the global virtual clock now and then.
-            if round % 16 == 0 {
-                b.read(p, clock, pc_clock);
-            }
-
-            cursors[p] = succ.wrapping_add(rng.random_range(0..7));
-        }
+impl Generator for PthorParams {
+    fn cpus(&self) -> usize {
+        self.cpus
     }
-    b
+
+    fn emit(self, lanes: Lanes) -> TraceBuilder {
+        let PthorParams {
+            elements,
+            tasks_per_cpu,
+            fanout,
+            cpus,
+        } = self;
+        assert!(elements > 0 && tasks_per_cpu > 0 && fanout > 0 && cpus > 0);
+
+        let mut b = TraceBuilder::with_lanes(format!("PTHOR-{elements}e"), lanes);
+        let elems = b.alloc("Elements", elements, ELEMENT_BYTES);
+        // Netlist: `fanout` successor ids per element, 4 bytes each.
+        let netlist = b.alloc("Netlist", elements * fanout, 4);
+        let queues = b.alloc("TaskQueues", cpus as u64, 64);
+        let queue_locks = b.alloc("QueueLocks", cpus as u64, 32);
+        let clock = b.alloc("GlobalClock", 1, 32);
+
+        let pc_elem_r = b.pc_site();
+        let pc_elem_w = b.pc_site();
+        let pc_net = b.pc_site();
+        let pc_queue_r = b.pc_site();
+        let pc_queue_w = b.pc_site();
+        let pc_clock = b.pc_site();
+        let pc_act_w = b.pc_site();
+
+        let mut rng = SplitMix64::seed_from_u64(0x7404);
+        // The randomized netlist topology (deterministic).
+        let successors: Vec<u64> = (0..elements * fanout)
+            .map(|_| rng.random_range(0..elements))
+            .collect();
+
+        // Each processor starts from a rotating cursor over the element space
+        // and follows netlist pointers, as the activation lists make the real
+        // simulator do.
+        let mut cursors: Vec<u64> = (0..cpus as u64)
+            .map(|p| p * elements / cpus as u64)
+            .collect();
+
+        for round in 0..tasks_per_cpu {
+            #[allow(clippy::needless_range_loop)] // p is also the cpu id
+            for p in 0..cpus {
+                let e = cursors[p] % elements;
+
+                // Pop a task: the queue head is lock-protected; stealing makes
+                // a ninth of the pops hit a remote queue.
+                let victim = if rng.random_range(0..9u32) == 0 {
+                    rng.random_range(0..cpus as u64)
+                } else {
+                    p as u64
+                };
+                b.acquire(p, b.element(queue_locks, 32, victim));
+                b.read(p, b.element(queues, 64, victim), pc_queue_r);
+                b.write(p, b.element(queues, 64, victim), pc_queue_w);
+                b.release(p, b.element(queue_locks, 32, victim));
+
+                // Evaluate the element.
+                b.read(p, b.element(elems, ELEMENT_BYTES, e), pc_elem_r);
+                b.compute(p, 10);
+                b.write(p, b.element(elems, ELEMENT_BYTES, e), pc_elem_w);
+
+                // Read its netlist entry and activate one successor (a write
+                // into the successor's record schedules it).
+                let slot = e * fanout + u64::from(rng.random_range(0..fanout as u32));
+                b.read(p, b.element(netlist, 4, slot), pc_net);
+                let succ = successors[slot as usize];
+                b.write(p, b.element(elems, ELEMENT_BYTES, succ), pc_act_w);
+
+                // Consult the global virtual clock now and then.
+                if round % 16 == 0 {
+                    b.read(p, clock, pc_clock);
+                }
+
+                cursors[p] = succ.wrapping_add(rng.random_range(0..7));
+            }
+        }
+        b
+    }
 }
 
 #[cfg(test)]

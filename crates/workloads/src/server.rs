@@ -13,6 +13,7 @@
 
 use pfsim_mem::SplitMix64;
 
+use crate::builder::{generate, Generator, Lanes};
 use crate::{PackedTrace, TraceBuilder, TraceWorkload};
 
 /// Size of one heap record in bytes (one cache block).
@@ -86,87 +87,93 @@ impl ServerParams {
 ///
 /// Panics if any parameter is zero.
 pub fn build(params: ServerParams) -> TraceWorkload {
-    emit(params).finish()
+    build_packed(params).materialize()
 }
 
 /// Builds the same workload in the packed shared-trace encoding,
 /// ready to wrap in an `Arc` and replay across many runs (see
 /// [`build`]).
 pub fn build_packed(params: ServerParams) -> PackedTrace {
-    emit(params).finish_packed()
+    generate(params)
 }
 
-fn emit(params: ServerParams) -> TraceBuilder {
-    let ServerParams {
-        heap_blocks,
-        requests_per_cpu,
-        sessions,
-        hot_blocks,
-        scan_blocks,
-        cpus,
-        seed,
-    } = params;
-    assert!(
-        heap_blocks > 0
-            && requests_per_cpu > 0
-            && sessions > 0
-            && hot_blocks > 0
-            && scan_blocks > 0
-            && cpus > 0,
-        "SERVER needs a heap, requests and processors"
-    );
-
-    let mut b = TraceBuilder::new(format!("SERVER-{heap_blocks}b"), cpus);
-    let heap = b.alloc("Heap", heap_blocks, RECORD_BYTES);
-    let hot = b.alloc("HotMeta", hot_blocks, RECORD_BYTES);
-    let table = b.alloc("Sessions", sessions, RECORD_BYTES);
-    let locks = b.alloc("SessionLocks", sessions, RECORD_BYTES);
-
-    let pc_heap = b.pc_site(); // random heap lookups
-    let pc_hot = b.pc_site(); // hot metadata
-    let pc_scan = b.pc_site(); // the sequential scan
-    let pc_sess_r = b.pc_site(); // session read
-    let pc_sess_w = b.pc_site(); // session update
-
-    let mut rng = SplitMix64::seed_from_u64(seed);
-    // Request order round-robins over processors so interleaved draws
-    // from one RNG stay deterministic.
-    for _req in 0..requests_per_cpu {
-        for p in 0..cpus {
-            // Pointer-free random lookups across the whole heap: each
-            // draw lands on a different page with high probability.
-            for _ in 0..3 {
-                let r = rng.random_range(0..heap_blocks);
-                b.read(p, b.element(heap, RECORD_BYTES, r), pc_heap);
-                b.compute(p, 4);
-            }
-
-            // The hot set: near-certain cache hits, keeps the miss
-            // stream from being purely random.
-            let h = rng.random_range(0..hot_blocks);
-            b.read(p, b.element(hot, RECORD_BYTES, h), pc_hot);
-
-            // A short sequential scan from a random record: the only
-            // part a sequential prefetcher can cover.
-            let start = rng.random_range(0..heap_blocks - scan_blocks);
-            for s in 0..scan_blocks {
-                b.read(p, b.element(heap, RECORD_BYTES, start + s), pc_scan);
-                b.compute(p, 2);
-            }
-
-            // Update the session entry under its lock; sessions are
-            // shared, so the entry block migrates between processors.
-            let sess = rng.random_range(0..sessions);
-            b.acquire(p, b.element(locks, RECORD_BYTES, sess));
-            b.read(p, b.element(table, RECORD_BYTES, sess), pc_sess_r);
-            b.compute(p, 6);
-            b.write(p, b.element(table, RECORD_BYTES, sess), pc_sess_w);
-            b.release(p, b.element(locks, RECORD_BYTES, sess));
-
-            b.compute(p, 12); // request epilogue
-        }
+impl Generator for ServerParams {
+    fn cpus(&self) -> usize {
+        self.cpus
     }
-    b
+
+    fn emit(self, lanes: Lanes) -> TraceBuilder {
+        let ServerParams {
+            heap_blocks,
+            requests_per_cpu,
+            sessions,
+            hot_blocks,
+            scan_blocks,
+            cpus,
+            seed,
+        } = self;
+        assert!(
+            heap_blocks > 0
+                && requests_per_cpu > 0
+                && sessions > 0
+                && hot_blocks > 0
+                && scan_blocks > 0
+                && cpus > 0,
+            "SERVER needs a heap, requests and processors"
+        );
+
+        let mut b = TraceBuilder::with_lanes(format!("SERVER-{heap_blocks}b"), lanes);
+        let heap = b.alloc("Heap", heap_blocks, RECORD_BYTES);
+        let hot = b.alloc("HotMeta", hot_blocks, RECORD_BYTES);
+        let table = b.alloc("Sessions", sessions, RECORD_BYTES);
+        let locks = b.alloc("SessionLocks", sessions, RECORD_BYTES);
+
+        let pc_heap = b.pc_site(); // random heap lookups
+        let pc_hot = b.pc_site(); // hot metadata
+        let pc_scan = b.pc_site(); // the sequential scan
+        let pc_sess_r = b.pc_site(); // session read
+        let pc_sess_w = b.pc_site(); // session update
+
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        // Request order round-robins over processors so interleaved draws
+        // from one RNG stay deterministic.
+        for _req in 0..requests_per_cpu {
+            for p in 0..cpus {
+                // Pointer-free random lookups across the whole heap: each
+                // draw lands on a different page with high probability.
+                for _ in 0..3 {
+                    let r = rng.random_range(0..heap_blocks);
+                    b.read(p, b.element(heap, RECORD_BYTES, r), pc_heap);
+                    b.compute(p, 4);
+                }
+
+                // The hot set: near-certain cache hits, keeps the miss
+                // stream from being purely random.
+                let h = rng.random_range(0..hot_blocks);
+                b.read(p, b.element(hot, RECORD_BYTES, h), pc_hot);
+
+                // A short sequential scan from a random record: the only
+                // part a sequential prefetcher can cover.
+                let start = rng.random_range(0..heap_blocks - scan_blocks);
+                for s in 0..scan_blocks {
+                    b.read(p, b.element(heap, RECORD_BYTES, start + s), pc_scan);
+                    b.compute(p, 2);
+                }
+
+                // Update the session entry under its lock; sessions are
+                // shared, so the entry block migrates between processors.
+                let sess = rng.random_range(0..sessions);
+                b.acquire(p, b.element(locks, RECORD_BYTES, sess));
+                b.read(p, b.element(table, RECORD_BYTES, sess), pc_sess_r);
+                b.compute(p, 6);
+                b.write(p, b.element(table, RECORD_BYTES, sess), pc_sess_w);
+                b.release(p, b.element(locks, RECORD_BYTES, sess));
+
+                b.compute(p, 12); // request epilogue
+            }
+        }
+        b
+    }
 }
 
 #[cfg(test)]

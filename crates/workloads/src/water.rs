@@ -16,6 +16,7 @@
 
 use pfsim_mem::SplitMix64;
 
+use crate::builder::{generate, Generator, Lanes};
 use crate::{PackedTrace, TraceBuilder, TraceWorkload};
 
 /// Size of one molecule record in bytes: 21 cache blocks.
@@ -76,154 +77,160 @@ impl WaterParams {
 ///
 /// Panics if there are fewer molecules than processors.
 pub fn build(params: WaterParams) -> TraceWorkload {
-    emit(params).finish()
+    build_packed(params).materialize()
 }
 
 /// Builds the same workload in the packed shared-trace encoding,
 /// ready to wrap in an `Arc` and replay across many runs (see
 /// [`build`]).
 pub fn build_packed(params: WaterParams) -> PackedTrace {
-    emit(params).finish_packed()
+    generate(params)
 }
 
-fn emit(params: WaterParams) -> TraceBuilder {
-    let WaterParams {
-        molecules,
-        steps,
-        mean_run,
-        cpus,
-    } = params;
-    assert!(
-        molecules >= cpus as u64,
-        "need at least one molecule per cpu"
-    );
-    assert!(mean_run >= 2);
+impl Generator for WaterParams {
+    fn cpus(&self) -> usize {
+        self.cpus
+    }
 
-    let mut b = TraceBuilder::new(format!("Water-{molecules}m"), cpus);
-    let mols = b.alloc("MOL", molecules, MOLECULE_BYTES);
-    let locks = b.alloc("MolLocks", molecules, 32);
+    fn emit(self, lanes: Lanes) -> TraceBuilder {
+        let WaterParams {
+            molecules,
+            steps,
+            mean_run,
+            cpus,
+        } = self;
+        assert!(
+            molecules >= cpus as u64,
+            "need at least one molecule per cpu"
+        );
+        assert!(mean_run >= 2);
 
-    // Field offsets within a molecule record. The predicted positions the
-    // force loop reads and the force accumulators it writes live in
-    // *adjacent* blocks at the front of the record (as the real record
-    // packs the per-atom position/derivative arrays): this adjacency
-    // between different stride-21 sequences is the spatial locality that
-    // §5.2 credits for sequential prefetching's good showing on Water.
-    const F_POS_A: u64 = 0; // block +0
-    const F_POS_B: u64 = 40; // block +1
-                             // The force accumulators (3 atoms × 3 dimensions plus higher-order
-                             // derivatives) occupy three consecutive blocks.
-    const F_FORCE0: u64 = 72; // block +2
-    const F_FORCE1: u64 = 104; // block +3
-    const F_FORCE2: u64 = 136; // block +4
+        let mut b = TraceBuilder::with_lanes(format!("Water-{molecules}m"), lanes);
+        let mols = b.alloc("MOL", molecules, MOLECULE_BYTES);
+        let locks = b.alloc("MolLocks", molecules, 32);
 
-    let pc_pos_a = b.pc_site();
-    let pc_pos_b = b.pc_site();
-    let pc_force_r0 = b.pc_site();
-    let pc_force_r1 = b.pc_site();
-    let pc_force_r2 = b.pc_site();
-    let pc_force_w0 = b.pc_site();
-    let pc_force_w1 = b.pc_site();
-    let pc_force_w2 = b.pc_site();
-    let pc_own_r = b.pc_site();
-    let pc_own_w = b.pc_site();
-    let pc_own_w2 = b.pc_site();
-    let pc_upd_r = b.pc_site();
-    let pc_upd_f = b.pc_site();
-    let pc_upd_f1 = b.pc_site();
-    let pc_upd_f2 = b.pc_site();
-    let pc_upd_w = b.pc_site();
+        // Field offsets within a molecule record. The predicted positions the
+        // force loop reads and the force accumulators it writes live in
+        // *adjacent* blocks at the front of the record (as the real record
+        // packs the per-atom position/derivative arrays): this adjacency
+        // between different stride-21 sequences is the spatial locality that
+        // §5.2 credits for sequential prefetching's good showing on Water.
+        const F_POS_A: u64 = 0; // block +0
+        const F_POS_B: u64 = 40; // block +1
+                                 // The force accumulators (3 atoms × 3 dimensions plus higher-order
+                                 // derivatives) occupy three consecutive blocks.
+        const F_FORCE0: u64 = 72; // block +2
+        const F_FORCE1: u64 = 104; // block +3
+        const F_FORCE2: u64 = 136; // block +4
 
-    let per_cpu = molecules / cpus as u64;
-    let own_range = |p: usize| {
-        let lo = p as u64 * per_cpu;
-        let hi = if p == cpus - 1 {
-            molecules
-        } else {
-            lo + per_cpu
+        let pc_pos_a = b.pc_site();
+        let pc_pos_b = b.pc_site();
+        let pc_force_r0 = b.pc_site();
+        let pc_force_r1 = b.pc_site();
+        let pc_force_r2 = b.pc_site();
+        let pc_force_w0 = b.pc_site();
+        let pc_force_w1 = b.pc_site();
+        let pc_force_w2 = b.pc_site();
+        let pc_own_r = b.pc_site();
+        let pc_own_w = b.pc_site();
+        let pc_own_w2 = b.pc_site();
+        let pc_upd_r = b.pc_site();
+        let pc_upd_f = b.pc_site();
+        let pc_upd_f1 = b.pc_site();
+        let pc_upd_f2 = b.pc_site();
+        let pc_upd_w = b.pc_site();
+
+        let per_cpu = molecules / cpus as u64;
+        let own_range = |p: usize| {
+            let lo = p as u64 * per_cpu;
+            let hi = if p == cpus - 1 {
+                molecules
+            } else {
+                lo + per_cpu
+            };
+            (lo, hi)
         };
-        (lo, hi)
-    };
 
-    let mut rng = SplitMix64::seed_from_u64(0x57A7E5);
+        let mut rng = SplitMix64::seed_from_u64(0x57A7E5);
 
-    for _step in 0..steps {
-        // Phase 1 — intra-molecular: predict positions of own molecules.
-        for p in 0..cpus {
-            let (lo, hi) = own_range(p);
-            for i in lo..hi {
-                b.read(p, b.field(mols, MOLECULE_BYTES, i, F_POS_A), pc_own_r);
-                b.compute(p, 12);
-                // The predictor rewrites the whole position/derivative
-                // prefix of the record (two blocks), invalidating last
-                // step's readers.
-                b.write(p, b.field(mols, MOLECULE_BYTES, i, F_POS_A), pc_own_w);
-                b.write(p, b.field(mols, MOLECULE_BYTES, i, F_POS_B), pc_own_w2);
-            }
-        }
-        b.barrier_all();
-
-        // Phase 2 — inter-molecular forces. For each of its molecules,
-        // a processor interacts with runs of consecutive molecules inside
-        // the cutoff shell (half-shell method: partners ahead of i).
-        for p in 0..cpus {
-            let (lo, hi) = own_range(p);
-            for i in lo..hi {
-                // The shell of molecule i: a handful of runs starting at
-                // pseudo-random offsets ahead of i.
-                let mut cursor = i + 1;
-                let shell_span = molecules / 2;
-                let end = i + 1 + shell_span;
-                while cursor < end {
-                    let run = rng.random_range(2..=2 * mean_run - 2).min(end - cursor);
-                    for j0 in cursor..cursor + run {
-                        let j = j0 % molecules;
-                        if j == i {
-                            continue;
-                        }
-                        // Read the partner's positions: two loads hitting
-                        // adjacent blocks of the record.
-                        b.read(p, b.field(mols, MOLECULE_BYTES, j, F_POS_A), pc_pos_a);
-                        b.read(p, b.field(mols, MOLECULE_BYTES, j, F_POS_B), pc_pos_b);
-                        b.compute(p, 18);
-                        // Accumulate into the partner's force region
-                        // (three consecutive blocks) under its
-                        // per-molecule lock.
-                        b.acquire(p, b.element(locks, 32, j));
-                        b.read(p, b.field(mols, MOLECULE_BYTES, j, F_FORCE0), pc_force_r0);
-                        b.read(p, b.field(mols, MOLECULE_BYTES, j, F_FORCE1), pc_force_r1);
-                        b.read(p, b.field(mols, MOLECULE_BYTES, j, F_FORCE2), pc_force_r2);
-                        b.compute(p, 4);
-                        b.write(p, b.field(mols, MOLECULE_BYTES, j, F_FORCE0), pc_force_w0);
-                        b.write(p, b.field(mols, MOLECULE_BYTES, j, F_FORCE1), pc_force_w1);
-                        b.write(p, b.field(mols, MOLECULE_BYTES, j, F_FORCE2), pc_force_w2);
-                        b.release(p, b.element(locks, 32, j));
-                    }
-                    cursor += run;
-                    // Gap outside the cutoff: skip a stretch of molecules,
-                    // which is what bounds the miss-sequence length.
-                    cursor += rng.random_range(1..=mean_run);
+        for _step in 0..steps {
+            // Phase 1 — intra-molecular: predict positions of own molecules.
+            for p in 0..cpus {
+                let (lo, hi) = own_range(p);
+                for i in lo..hi {
+                    b.read(p, b.field(mols, MOLECULE_BYTES, i, F_POS_A), pc_own_r);
+                    b.compute(p, 12);
+                    // The predictor rewrites the whole position/derivative
+                    // prefix of the record (two blocks), invalidating last
+                    // step's readers.
+                    b.write(p, b.field(mols, MOLECULE_BYTES, i, F_POS_A), pc_own_w);
+                    b.write(p, b.field(mols, MOLECULE_BYTES, i, F_POS_B), pc_own_w2);
                 }
             }
-        }
-        b.barrier_all();
+            b.barrier_all();
 
-        // Phase 3 — update own molecules from accumulated forces (written
-        // by many other processors during phase 2).
-        for p in 0..cpus {
-            let (lo, hi) = own_range(p);
-            for i in lo..hi {
-                b.read(p, b.field(mols, MOLECULE_BYTES, i, F_FORCE0), pc_upd_f);
-                b.read(p, b.field(mols, MOLECULE_BYTES, i, F_FORCE1), pc_upd_f1);
-                b.read(p, b.field(mols, MOLECULE_BYTES, i, F_FORCE2), pc_upd_f2);
-                b.read(p, b.field(mols, MOLECULE_BYTES, i, F_POS_A), pc_upd_r);
-                b.compute(p, 10);
-                b.write(p, b.field(mols, MOLECULE_BYTES, i, F_POS_A), pc_upd_w);
+            // Phase 2 — inter-molecular forces. For each of its molecules,
+            // a processor interacts with runs of consecutive molecules inside
+            // the cutoff shell (half-shell method: partners ahead of i).
+            for p in 0..cpus {
+                let (lo, hi) = own_range(p);
+                for i in lo..hi {
+                    // The shell of molecule i: a handful of runs starting at
+                    // pseudo-random offsets ahead of i.
+                    let mut cursor = i + 1;
+                    let shell_span = molecules / 2;
+                    let end = i + 1 + shell_span;
+                    while cursor < end {
+                        let run = rng.random_range(2..=2 * mean_run - 2).min(end - cursor);
+                        for j0 in cursor..cursor + run {
+                            let j = j0 % molecules;
+                            if j == i {
+                                continue;
+                            }
+                            // Read the partner's positions: two loads hitting
+                            // adjacent blocks of the record.
+                            b.read(p, b.field(mols, MOLECULE_BYTES, j, F_POS_A), pc_pos_a);
+                            b.read(p, b.field(mols, MOLECULE_BYTES, j, F_POS_B), pc_pos_b);
+                            b.compute(p, 18);
+                            // Accumulate into the partner's force region
+                            // (three consecutive blocks) under its
+                            // per-molecule lock.
+                            b.acquire(p, b.element(locks, 32, j));
+                            b.read(p, b.field(mols, MOLECULE_BYTES, j, F_FORCE0), pc_force_r0);
+                            b.read(p, b.field(mols, MOLECULE_BYTES, j, F_FORCE1), pc_force_r1);
+                            b.read(p, b.field(mols, MOLECULE_BYTES, j, F_FORCE2), pc_force_r2);
+                            b.compute(p, 4);
+                            b.write(p, b.field(mols, MOLECULE_BYTES, j, F_FORCE0), pc_force_w0);
+                            b.write(p, b.field(mols, MOLECULE_BYTES, j, F_FORCE1), pc_force_w1);
+                            b.write(p, b.field(mols, MOLECULE_BYTES, j, F_FORCE2), pc_force_w2);
+                            b.release(p, b.element(locks, 32, j));
+                        }
+                        cursor += run;
+                        // Gap outside the cutoff: skip a stretch of molecules,
+                        // which is what bounds the miss-sequence length.
+                        cursor += rng.random_range(1..=mean_run);
+                    }
+                }
             }
+            b.barrier_all();
+
+            // Phase 3 — update own molecules from accumulated forces (written
+            // by many other processors during phase 2).
+            for p in 0..cpus {
+                let (lo, hi) = own_range(p);
+                for i in lo..hi {
+                    b.read(p, b.field(mols, MOLECULE_BYTES, i, F_FORCE0), pc_upd_f);
+                    b.read(p, b.field(mols, MOLECULE_BYTES, i, F_FORCE1), pc_upd_f1);
+                    b.read(p, b.field(mols, MOLECULE_BYTES, i, F_FORCE2), pc_upd_f2);
+                    b.read(p, b.field(mols, MOLECULE_BYTES, i, F_POS_A), pc_upd_r);
+                    b.compute(p, 10);
+                    b.write(p, b.field(mols, MOLECULE_BYTES, i, F_POS_A), pc_upd_w);
+                }
+            }
+            b.barrier_all();
         }
-        b.barrier_all();
+        b
     }
-    b
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use pfsim_mem::{Addr, Pc, SplitMix64};
 use pfsim_workloads::{App, Op, TraceBuilder, TraceCursor, Workload};
 
-/// Mirrors `PackedLane::push`: the reference model every decoded lane is
+/// Mirrors `LaneWriter::push`: the reference model every decoded lane is
 /// compared against.
 fn push_expected(lane: &mut Vec<Op>, op: Op) {
     if let Op::Compute { cycles } = op {

@@ -65,6 +65,28 @@ cargo build --release --workspace --offline
 echo "==> cargo test"
 cargo test -q --workspace --offline
 
+echo "==> golden results (every default-size results/*.txt regenerates byte-identical)"
+# Each committed default-size table is the deterministic stdout of the
+# release binary it is named after (`<bin>.txt` or `<bin>_default.txt`;
+# the `_paper` tables take minutes and are left to EXPERIMENTS.md).
+# Regenerating and diffing them shows a change moved no number the
+# paper-facing tables report: no generated trace, no simulated pclock.
+golden_dir=$(mktemp -d)
+for golden in results/*.txt; do
+    name=$(basename "$golden" .txt)
+    [[ "$name" == *_paper ]] && continue
+    bin=${name%_default}
+    if ! PFSIM_RESULTS_DIR="$golden_dir" "./target/release/$bin" \
+        >"$golden_dir/$name.txt" 2>"$golden_dir/$name.log"; then
+        cat "$golden_dir/$name.log" >&2
+        echo "error: $bin failed while regenerating $golden" >&2
+        exit 1
+    fi
+    diff -u "$golden" "$golden_dir/$name.txt" \
+        || { echo "error: $golden no longer regenerates byte-identical" >&2; exit 1; }
+done
+rm -rf "$golden_dir"
+
 echo "==> packed-trace replay determinism"
 cargo test -q -p pfsim-bench --release --offline --test packed_replay
 
