@@ -64,7 +64,6 @@ pub struct ExperimentSpec {
     pub(crate) instrument: bool,
     pub(crate) parallel: bool,
     pub(crate) quiet: bool,
-    pub(crate) threads: usize,
     pub(crate) warmup: u64,
     pub(crate) warmup_share: bool,
 }
@@ -83,7 +82,6 @@ impl ExperimentSpec {
             instrument: instrument_from_env(),
             parallel: true,
             quiet: false,
-            threads: shards_from_env(),
             warmup: 0,
             warmup_share: true,
         }
@@ -156,15 +154,6 @@ impl ExperimentSpec {
         self
     }
 
-    /// Runs every cell on the sharded event kernel with `n` worker
-    /// threads (`<= 1` selects the serial kernel), overriding
-    /// `PFSIM_SHARDS`. Results are bit-identical either way — this knob
-    /// trades intra-run wall-clock against the grid-level fan-out.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
-    }
-
     /// Suppresses the per-cell progress lines on stderr.
     pub fn quiet(mut self) -> Self {
         self.quiet = true;
@@ -185,8 +174,8 @@ impl ExperimentSpec {
     /// (which [`warmup_straight`](Self::warmup_straight) forces, for
     /// validating exactly that).
     ///
-    /// Warmed cells run cell-serially on the serial kernel (a checkpoint
-    /// may carry a forked consistency oracle, which stays on one thread).
+    /// Warmed cells run cell-serially (a checkpoint may carry a forked
+    /// consistency oracle, which stays on one thread).
     pub fn warmup(mut self, pclocks: u64) -> Self {
         self.warmup = pclocks;
         self
@@ -212,15 +201,6 @@ fn instrument_from_env() -> bool {
         std::env::var("PFSIM_INSTRUMENT").as_deref(),
         Ok("1") | Ok("true") | Ok("on")
     )
-}
-
-/// Worker-thread count per simulation from `PFSIM_SHARDS` (default 1:
-/// the serial kernel).
-fn shards_from_env() -> usize {
-    std::env::var("PFSIM_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
 }
 
 /// Whether `PFSIM_CHECK` asks for the online consistency oracle.
@@ -291,11 +271,6 @@ impl Runner {
         let gen_seconds = gen_start.elapsed().as_secs_f64();
 
         let sim_start = Instant::now();
-        assert!(
-            spec.warmup == 0 || spec.threads <= 1,
-            "warmed specs run on the serial kernel (threads <= 1): the sharded kernel seeds \
-             a cold machine and cannot resume a checkpoint"
-        );
         let jobs: Vec<(usize, usize)> = (0..spec.apps.len())
             .flat_map(|a| (0..spec.variants.len()).map(move |v| (a, v)))
             .collect();
@@ -339,11 +314,7 @@ impl Runner {
                 if checked {
                     sys.set_check_sink(Box::new(ConsistencyOracle::new(geometry, nodes)));
                 }
-                result = if spec.threads > 1 {
-                    sys.run_threads(spec.threads)
-                } else {
-                    sys.run()
-                };
+                result = sys.run();
             }
             let wall_seconds = start.elapsed().as_secs_f64();
             if checked {
@@ -426,7 +397,6 @@ impl Runner {
             size: spec.size,
             apps: spec.apps,
             variants: spec.variants,
-            threads: spec.threads.max(1),
             cells,
             traces,
             gen_seconds,
@@ -513,9 +483,6 @@ pub struct ExperimentRun {
     pub apps: Vec<App>,
     /// Grid columns.
     pub variants: Vec<Variant>,
-    /// Worker threads each cell's event kernel ran on (1 = serial
-    /// kernel); recorded in the manifest as `threads`.
-    pub threads: usize,
     /// Cell results, app-major (`apps.len() × variants.len()`).
     pub cells: Vec<CellResult>,
     /// The distinct traces the run generated.
@@ -583,9 +550,7 @@ mod tests {
             .baseline_and(&[Scheme::Sequential { degree: 1 }])
             .variant_sized("large", SystemConfig::paper_baseline(), Size::Large)
             .serial()
-            .threads(4)
             .quiet();
-        assert_eq!(spec.threads, 4);
         assert_eq!(spec.apps, [App::Mp3d, App::Water]);
         assert_eq!(spec.variants.len(), 3);
         assert_eq!(spec.variants[0].label, "baseline");

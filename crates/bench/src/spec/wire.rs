@@ -107,9 +107,6 @@ pub struct WireSpec {
     pub apps: Vec<App>,
     /// Grid columns.
     pub variants: Vec<WireVariant>,
-    /// Worker threads per simulation (1 = serial kernel). Not part of
-    /// the result cache key: pclock totals are bit-identical either way.
-    pub threads: usize,
     /// Warmup boundary in pclocks (0 = none).
     pub warmup: u64,
     /// Whether cells run with the observability registry on.
@@ -138,7 +135,6 @@ impl WireSpec {
             size,
             apps: apps.to_vec(),
             variants,
-            threads: 1,
             warmup: 0,
             instrument: false,
             timeout_secs: None,
@@ -159,7 +155,6 @@ impl WireSpec {
                 "variants",
                 Json::Array(self.variants.iter().map(variant_json).collect()),
             ),
-            ("threads", Json::uint(self.threads as u64)),
             ("warmup", Json::uint(self.warmup)),
             ("instrument", Json::Bool(self.instrument)),
         ];
@@ -186,7 +181,6 @@ impl WireSpec {
                 "size",
                 "apps",
                 "variants",
-                "threads",
                 "warmup",
                 "instrument",
                 "timeout_secs",
@@ -237,17 +231,10 @@ impl WireSpec {
         if variants.is_empty() {
             return Err("variants is empty".to_string());
         }
-        let threads = match doc.get("threads") {
-            Some(v) => v.as_u64().ok_or("threads is not a u64")? as usize,
-            None => 1,
-        };
         let warmup = match doc.get("warmup") {
             Some(v) => v.as_u64().ok_or("warmup is not a u64")?,
             None => 0,
         };
-        if warmup > 0 && threads > 1 {
-            return Err("warmed specs run on the serial kernel (threads must be 1)".to_string());
-        }
         let instrument = match doc.get("instrument") {
             Some(v) => v.as_bool().ok_or("instrument is not a bool")?,
             None => false,
@@ -267,7 +254,6 @@ impl WireSpec {
             size,
             apps,
             variants,
-            threads,
             warmup,
             instrument,
             timeout_secs,
@@ -292,7 +278,6 @@ impl WireSpec {
             .size(self.size)
             .apps(self.apps.iter().copied())
             .instrument(self.instrument)
-            .threads(self.threads)
             .warmup(self.warmup);
         for v in &self.variants {
             spec = spec.variant(v.label.clone(), v.config());
@@ -561,7 +546,6 @@ mod tests {
         spec.variants[2].slc_ways = Some(4);
         spec.variants[2].block_bytes = Some(64);
         spec.variants[2].mesh = Some((8, 8));
-        spec.threads = 2;
         spec.instrument = true;
         spec.timeout_secs = Some(120);
         let text = spec.to_json().render();
@@ -692,9 +676,12 @@ mod tests {
             "{\"kind\": \"sequential\", \"degree\": 0}",
         );
         assert!(WireSpec::parse(&bad).unwrap_err().contains("degree"));
-        // Degenerate combinations.
-        let bad = ok.replace("\"threads\": 1", "\"threads\": 4, \"warmup\": 1000");
-        assert!(WireSpec::parse(&bad).unwrap_err().contains("serial"));
+        // `threads` is not a spec field: refused by name, at any value.
+        let bad = ok.replace("\"warmup\": 0", "\"threads\": 1, \"warmup\": 0");
+        assert_ne!(bad, ok, "threads mutation did not apply");
+        let err = WireSpec::parse(&bad).unwrap_err();
+        assert!(err.contains("unknown spec field 'threads'"), "{err}");
+        // Degenerate values.
         let bad = ok.replace(
             "\"instrument\": false",
             "\"timeout_secs\": 0, \"instrument\": false",
@@ -711,7 +698,7 @@ mod tests {
                           "scheme": {"kind": "sequential", "degree": 1},
                           "config": {"slc_kb": 16, "block_bytes": 64,
                                      "consistency": "sequential"}}],
-            "threads": 1, "warmup": 0, "instrument": false
+            "warmup": 0, "instrument": false
         }"#;
         let spec = WireSpec::parse(text).unwrap();
         let cfg = spec.cell_config(0);

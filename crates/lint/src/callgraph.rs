@@ -2,16 +2,12 @@
 //!
 //! Call sites are read straight off the token stream of each function
 //! body; resolution is *name-based* and deliberately over-approximate
-//! (see `DESIGN.md` §16): a method call `recv.m(…)` edges to every
+//! (see `DESIGN.md` §15): a method call `recv.m(…)` edges to every
 //! workspace method named `m` that takes `self`, a qualified call
 //! `T::f(…)` prefers functions owned by `T`, a free call `f(…)` edges
 //! to every free function named `f`. Over-approximation is the safe
-//! direction for both lints built here: S102 (is a hook *reachable*?)
-//! can only gain reachability, never lose a real path; S103 flags
-//! direct banned calls *inside* reachable bodies, where a spurious
-//! extra function in the set only matters if that function itself
-//! breaks the effect discipline — which is exactly what we want to
-//! hear about.
+//! direction for S102 (is a hook *reachable*?): it can only gain
+//! reachability, never lose a real path.
 
 use std::collections::HashSet;
 
@@ -38,7 +34,7 @@ pub struct CallSite {
     /// Call form.
     pub kind: CallKind,
     /// For method calls: the receiver identifier directly before the
-    /// dot (`self.fx.send(…)` → `fx`), when it is a plain identifier.
+    /// dot (`self.mesh.send(…)` → `mesh`), when it is a plain identifier.
     pub recv: Option<String>,
     /// For qualified calls: the path segment directly before `::`.
     pub qual: Option<String>,
@@ -179,15 +175,8 @@ pub fn resolve(model: &Model, caller: FnId, call: &CallSite, in_crate: &str) -> 
 }
 
 /// Computes the set of functions reachable from `roots` through
-/// intra-`in_crate` edges. Functions owned by a type in `no_expand` are
-/// marked reachable but their bodies are not traversed — the seam for
-/// S103's audited `Fx` effect boundary.
-pub fn reachable(
-    model: &Model,
-    roots: &[FnId],
-    in_crate: &str,
-    no_expand: &[&str],
-) -> HashSet<FnId> {
+/// intra-`in_crate` edges.
+pub fn reachable(model: &Model, roots: &[FnId], in_crate: &str) -> HashSet<FnId> {
     let mut seen: HashSet<FnId> = HashSet::new();
     let mut work: Vec<FnId> = Vec::new();
     for &r in roots {
@@ -196,15 +185,9 @@ pub fn reachable(
         }
     }
     while let Some(id) = work.pop() {
-        let item = model.fn_item(id);
-        if item
-            .owner
-            .as_deref()
-            .is_some_and(|o| no_expand.contains(&o))
-        {
+        let Some(body) = model.fn_item(id).body else {
             continue;
-        }
-        let Some(body) = item.body else { continue };
+        };
         let f = model.fn_file(id);
         for call in calls_in_body(f, body) {
             for target in resolve(model, id, &call, in_crate) {
@@ -304,23 +287,25 @@ mod tests {
     }
 
     #[test]
-    fn reachability_stops_at_crate_boundary_and_no_expand() {
+    fn reachability_is_transitive_and_stops_at_crate_boundary() {
         let files = vec![
             File::new(
                 "crates/core/src/a.rs",
-                "struct Fx;\n\
-                 impl Fx { fn send(&self) { raw_send(); } }\n\
+                "struct Link;\n\
+                 impl Link { fn send(&self) { raw_send(); } }\n\
                  fn raw_send() {}\n\
-                 fn entry(fx: &Fx) { fx.send(); }\n",
+                 fn unused() {}\n\
+                 fn entry(l: &Link) { l.send(); }\n",
             ),
             File::new("crates/bench/src/x.rs", "fn send() {}\n"),
         ];
         let m = model_of(&files);
         let entry = fn_id(&m, "a.rs", "entry");
-        let set = reachable(&m, &[entry], "core", &["Fx"]);
+        let set = reachable(&m, &[entry], "core");
         assert!(set.contains(&fn_id(&m, "a.rs", "send")));
-        // Fx::send is reachable but not expanded: raw_send stays out.
-        assert!(!set.contains(&fn_id(&m, "a.rs", "raw_send")));
+        // Reached through Link::send's body.
+        assert!(set.contains(&fn_id(&m, "a.rs", "raw_send")));
+        assert!(!set.contains(&fn_id(&m, "a.rs", "unused")));
         // The bench crate's fn is outside the core-only graph.
         assert!(!set.contains(&fn_id(&m, "x.rs", "send")));
     }

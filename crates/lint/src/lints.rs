@@ -2,8 +2,8 @@
 //!
 //! Every lint is syntactic, deterministic, and scoped by the workspace
 //! layout (see `DESIGN.md` §11 for each lint's rationale and the
-//! suppression policy). File-local passes run per file; `M001` and `C001`
-//! are workspace passes that need every file at once.
+//! suppression policy). File-local passes run per file; `M001` is a
+//! workspace pass that needs every file at once.
 
 use crate::lex::Kind;
 use crate::model::Model;
@@ -23,10 +23,6 @@ pub struct Lint {
 /// Every lint this tool knows, in ID order.
 pub const LINTS: &[Lint] = &[
     Lint {
-        id: "C001",
-        summary: "every CheckSink hook method must have a call site in crates/core",
-    },
-    Lint {
         id: "D001",
         summary: "no std HashMap/HashSet in sim crates (FxHashMap or sorted structures only)",
     },
@@ -40,7 +36,7 @@ pub const LINTS: &[Lint] = &[
     },
     Lint {
         id: "K001",
-        summary: "simulation-clock fields are written only inside the event kernels (core/src/{system,shard}.rs)",
+        summary: "simulation-clock fields are written only inside the event kernel (core/src/system.rs)",
     },
     Lint {
         id: "K002",
@@ -67,16 +63,12 @@ pub const LINTS: &[Lint] = &[
         summary: "every CheckSink hook must be call-graph reachable from the core entry points",
     },
     Lint {
-        id: "S103",
-        summary: "code reachable from shard-worker entry points applies effects only through the Fx log",
-    },
-    Lint {
         id: "S104",
         summary: "wire/manifest/serve string-key sets emitted and accepted must agree symbolically",
     },
     Lint {
         id: "T001",
-        summary: "threads and sync primitives only in approved concurrency modules (bench/parallel, bench/lib, core/shard, workloads/builder, serve/src)",
+        summary: "threads and sync primitives only in approved concurrency modules (bench/parallel, bench/lib, workloads/builder, serve/src)",
     },
     Lint {
         id: "U001",
@@ -165,7 +157,7 @@ fn is_hot_path(f: &File) -> bool {
         Some("core") => {
             matches!(
                 file_name(&f.path),
-                "system.rs" | "shard.rs" | "node.rs" | "sync.rs" | "msg.rs"
+                "system.rs" | "node.rs" | "sync.rs" | "msg.rs"
             ) && f.path.contains("/src/")
         }
         Some("sim-engine") => {
@@ -196,7 +188,6 @@ pub fn run_all(files: &[File]) -> Vec<Finding> {
         file_lints(f, &mut out);
     }
     m001_metric_names(files, &mut out);
-    c001_oracle_coverage(files, &mut out);
     let model = Model::build(files);
     semantic::run(&model, &mut out);
     annotate_symbols(&model, &mut out);
@@ -294,9 +285,9 @@ fn u001_safety_comments(f: &File, out: &mut Vec<Finding>) {
 const CLOCK_FIELDS: &[&str] = &["last_time", "cpu_time", "issue_time"];
 
 /// The files forming the event kernel: the only places simulated time may
-/// advance. The serial loop and the sharded leader both fold event times
-/// into `last_time`; everything else only reads the clocks.
-const KERNEL_FILES: &[&str] = &["crates/core/src/system.rs", "crates/core/src/shard.rs"];
+/// advance. The event loop folds event times into `last_time`; everything
+/// else only reads the clocks.
+const KERNEL_FILES: &[&str] = &["crates/core/src/system.rs"];
 
 fn k001_clock_writes(f: &File, out: &mut Vec<Finding>) {
     if KERNEL_FILES.contains(&f.path.as_str()) {
@@ -320,8 +311,8 @@ fn k001_clock_writes(f: &File, out: &mut Vec<Finding>) {
                 "K001",
                 f.tokens[i].line,
                 format!(
-                    "simulation-clock field `{}` written outside the event kernels \
-                     (crates/core/src/{{system,shard}}.rs)",
+                    "simulation-clock field `{}` written outside the event kernel \
+                     (crates/core/src/system.rs)",
                     f.t(i)
                 ),
             ));
@@ -335,14 +326,13 @@ fn k001_clock_writes(f: &File, out: &mut Vec<Finding>) {
 
 /// The only non-test modules allowed to spawn threads or hold sync
 /// primitives: the grid-level fan-out harness, the trace cache it shares,
-/// the sharded event kernel's leader/worker handshake, and the
-/// lane-sharded trace-generation driver (each shard runs a pure generator
-/// and the gather checks the shards agree). Everything else must stay
-/// single-threaded so determinism arguments stay local to these files.
+/// and the lane-sharded trace-generation driver (each shard runs a pure
+/// generator and the gather checks the shards agree). Everything else
+/// must stay single-threaded so determinism arguments stay local to
+/// these files.
 const CONCURRENCY_MODULES: &[&str] = &[
     "crates/bench/src/parallel.rs",
     "crates/bench/src/lib.rs",
-    "crates/core/src/shard.rs",
     "crates/workloads/src/builder.rs",
 ];
 
@@ -783,91 +773,6 @@ fn m001_metric_names(files: &[File], out: &mut Vec<Finding>) {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// C001: oracle-hook coverage
-// ---------------------------------------------------------------------
-
-/// Path of the file defining the `CheckSink` trait.
-const CHECK_TRAIT_FILE: &str = "crates/core/src/check.rs";
-
-fn c001_oracle_coverage(files: &[File], out: &mut Vec<Finding>) {
-    let Some(def) = files.iter().find(|f| f.path == CHECK_TRAIT_FILE) else {
-        return;
-    };
-    let methods = trait_methods(def, "CheckSink");
-    for (name, line) in methods {
-        let called = files.iter().any(|f| {
-            f.crate_dir.as_deref() == Some("core")
-                && f.path.contains("/src/")
-                && f.path != CHECK_TRAIT_FILE
-                && has_method_call(f, &name)
-        });
-        if !called {
-            out.push(finding(
-                def,
-                "C001",
-                line,
-                format!(
-                    "CheckSink hook `{name}` has no call site in crates/core/src: a \
-                     protocol edge is invisible to the consistency oracle"
-                ),
-            ));
-        }
-    }
-}
-
-/// Collects `(method name, line)` for every `fn` declared directly inside
-/// `trait <trait_name> { … }`.
-fn trait_methods(f: &File, trait_name: &str) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    for i in 0..f.tokens.len() {
-        if !(f.is_ident(i, "trait") && f.is_ident(i + 1, trait_name)) {
-            continue;
-        }
-        // Find the trait body opener (skipping generics / supertraits).
-        let mut j = i + 2;
-        while j < f.tokens.len() && !f.is_punct(j, "{") {
-            j += 1;
-        }
-        if j == f.tokens.len() {
-            return out;
-        }
-        let close = f.matching(j);
-        let mut depth = 0i32;
-        for k in j + 1..close {
-            if f.tokens[k].kind == Kind::Punct {
-                match f.t(k) {
-                    "{" | "(" | "[" => depth += 1,
-                    "}" | ")" | "]" => depth -= 1,
-                    _ => {}
-                }
-            } else if depth == 0
-                && f.is_ident(k, "fn")
-                && f.tokens.get(k + 1).is_some_and(|t| t.kind == Kind::Ident)
-            {
-                out.push((f.t(k + 1).to_string(), f.tokens[k + 1].line));
-            }
-        }
-        return out;
-    }
-    out
-}
-
-/// Whether non-test code in `f` contains a `.name(` method call.
-fn has_method_call(f: &File, name: &str) -> bool {
-    for i in 1..f.tokens.len() {
-        if f.tokens[i].kind == Kind::Ident
-            && f.t(i) == name
-            && f.is_punct(i - 1, ".")
-            && f.is_punct(i + 1, "(")
-            && !f.in_test(f.tokens[i].line)
-        {
-            return true;
-        }
-    }
-    false
 }
 
 // ---------------------------------------------------------------------

@@ -1,12 +1,12 @@
 //! A lightweight item-level Rust parser on top of the lexer.
 //!
-//! The semantic lints (S101–S104) need to know *which symbols exist* —
-//! structs with their field lists, free and associated functions with
-//! their body extents — not what every expression means. So this parser
+//! The semantic lints (S101, S102, S104) need to know *which symbols
+//! exist* — structs with their field lists, free and associated
+//! functions with their body extents — not what every expression means. So this parser
 //! recognizes item structure only and treats function bodies as opaque
 //! token ranges for the call-graph layer ([`crate::callgraph`]) to scan.
 //!
-//! Soundness posture (see `DESIGN.md` §16):
+//! Soundness posture (see `DESIGN.md` §15):
 //!
 //! * **Under-approximation:** items nested inside function bodies
 //!   (closures, local `fn`s, items expanded from macro invocations) are

@@ -1,6 +1,6 @@
-//@ path: crates/core/src/shard.rs
-// The sharded kernel is an approved concurrency module: primitives are
-// allowed here. Elsewhere, idents that merely *look* thread-adjacent
+//@ path: crates/workloads/src/builder.rs
+// The lane-sharded trace-generation driver is an approved concurrency
+// module: primitives are allowed here. Elsewhere, idents that merely *look* thread-adjacent
 // (a local named `scope`, a method named `spawn` on another type) are
 // not flagged, and test code may use whatever it likes.
 use std::sync::Mutex;

@@ -18,7 +18,7 @@
 //! | `GET /status` | queue depth, per-state job counts, metrics registry snapshot |
 //! | `POST /shutdown` | graceful drain (same path a SIGTERM takes) |
 //!
-//! See `DESIGN.md` §14 for the cache key derivation and the job
+//! See `DESIGN.md` §13 for the cache key derivation and the job
 //! lifecycle state machine.
 
 #![warn(missing_docs)]
